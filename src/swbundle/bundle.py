@@ -7,6 +7,11 @@ bundle is decided, scale by scale, by approximating the projection with a
 weak simplicial approximation into the projective triangulation and testing
 whether the pulled-back generator is a coboundary.
 
+Class decisions run on the flag graph (the 1-skeleton of the flag complex):
+the relative group H^1(K, K^1; Z/2) vanishes, so restricting to the graph is
+injective on H^1 and triangles cannot change a degree-1 answer.  Filtrations
+built for barcodes keep simplices up to dimension 2.
+
 Scale convention: the class reported at index t is computed on the flag
 complex at scale sqrt(2) * t.  The index set [0, tmax_gamma / sqrt(2)) is
 exactly the range where that rescaled complex stays below the projection's
@@ -40,7 +45,9 @@ from .simplicial import (
     pullback_cochain,
     rips_filtration,
 )
-from .z2 import CochainZ2, is_cocycle, is_coboundary
+# is_cocycle is not called here; it stays importable from this module
+# because bench/spans.py times the names the bundle layer imports.
+from .z2 import CochainZ2, is_cocycle, is_coboundary  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 
@@ -87,8 +94,12 @@ class LiftedCloud:
             raise ValueError("expected xs of shape (N, n) and mats of shape (N, m, m)")
         if xs.shape[0] != mats.shape[0]:
             raise ValueError("xs and mats must have the same number of points")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("non-finite base coordinate x in the cloud")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("non-finite matrix entry A in the cloud")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mats", mats)
 
@@ -309,7 +320,11 @@ def weak_simplicial_approximation(
 
 @dataclass(frozen=True)
 class SWResult:
-    """Verdict of one class evaluation at index t."""
+    """Verdict of one class evaluation at index t.
+
+    The pulled-back cocycle and the vertex map live on the flag graph at
+    scale sqrt(2) * t, subdivided subdivisions_used times.
+    """
 
     t: float
     nonzero: bool
@@ -320,7 +335,7 @@ class SWResult:
 
 def _complex_at_scale(cloud: LiftedCloud, scale: float) -> SimplicialComplex:
     D = cloud.distance_matrix()
-    return rips_filtration(D, scale, 2, payloads=cloud.payloads()).complex
+    return rips_filtration(D, scale, 1, payloads=cloud.payloads()).complex
 
 
 def sw_class_at(
@@ -332,9 +347,10 @@ def sw_class_at(
 ) -> SWResult:
     """Decide whether the first persistent class is nonzero at index t.
 
-    Builds the flag complex at scale sqrt(2) * t (capped at dimension 2),
-    finds a weak simplicial approximation of the Grassmannian projection
-    into T, pulls the generator back, and tests it for being a coboundary.
+    Builds the flag graph at scale sqrt(2) * t, finds a weak simplicial
+    approximation of the Grassmannian projection into T, pulls the
+    generator back, and tests it for being a coboundary.  H^1 of the flag
+    complex injects into H^1 of its graph, so the graph decides the class.
     """
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")
@@ -348,8 +364,6 @@ def sw_class_at(
         err.t = t
         raise
     pb = pullback_cochain(f, Kp, T.L, T.w1, check=False)
-    if not is_cocycle(Kp, pb):
-        raise RuntimeError("pullback of the generator is not a cocycle; construction broken")
     return SWResult(
         t=t,
         nonzero=not is_coboundary(Kp, pb),

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bundle import LiftedCloud
-from .grassmann import jacobi_eigh, line_projector
+from .grassmann import jacobi_eigh_batch, line_projector
 
 _KINDS = ("circle_normal", "circle_tautological", "torus_normal", "klein_normal")
 
@@ -151,10 +151,8 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
     rng = np.random.default_rng(seed)
     xs = cloud.xs + sigma * rng.normal(size=cloud.xs.shape)
     dir_noise = sigma * rng.normal(size=(len(cloud), cloud.m))
-    mats = []
-    for i in range(len(cloud)):
-        v = jacobi_eigh(cloud.mats[i]).eigenvectors[:, 0]
-        mats.append(line_projector(v + dir_noise[i]).P)
+    _, vecs = jacobi_eigh_batch(cloud.mats)
+    mats = [line_projector(v + dv).P for v, dv in zip(vecs[:, :, 0], dir_noise)]
     return LiftedCloud(xs, np.array(mats), cloud.gamma)
 
 

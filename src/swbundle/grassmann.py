@@ -92,68 +92,38 @@ def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 def jacobi_eigh(S: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps over all (p, q) pairs, zeroing one off-diagonal entry per
-    rotation; stops when the off-diagonal Frobenius mass drops below
-    1e-12 * |S|_F, with a hard cap of 100 sweeps.  Adequate for the small
-    m used here (m <= 8).
-    """
+    """Eigendecomposition of one symmetric matrix; see jacobi_eigh_batch."""
     S = np.asarray(S, dtype=float)
-    m = S.shape[0]
-    if S.shape != (m, m):
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(S - S.T), initial=0.0) > _SYM_TOLERANCE * (1.0 + np.abs(S).max(initial=0.0)):
-        raise ValueError("matrix is not symmetric")
-    A = (S + S.T) / 2.0
-    O = np.eye(m)
-    norm = np.linalg.norm(A)
-    if m > 1:
-        offdiag = ~np.eye(m, dtype=bool)
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            # measured directly from the entries: the sum(A^2) - sum(diag^2)
-            # form cancels catastrophically near convergence
-            off = np.sqrt(np.sum(A[offdiag] ** 2))
-            if off <= _JACOBI_TOLERANCE * max(norm, 1e-300):
-                break
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    apq = A[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    theta = min(max(theta, -1e150), 1e150)  # overflow guard
-                    if theta == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    R = np.eye(m)
-                    R[p, p] = R[q, q] = c
-                    R[p, q] = s
-                    R[q, p] = -s
-                    A = R.T @ A @ R
-                    A[p, q] = A[q, p] = 0.0
-                    O = O @ R
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], O[:, order])
+    vals, vecs = jacobi_eigh_batch(S[None])
+    return EigenDecomposition(vals[0], vecs[0])
 
 
 def jacobi_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi over a stack of symmetric matrices (N, m, m), vectorized.
 
-    Same rotation schedule as jacobi_eigh, applied to all matrices at once.
+    Sweeps over all (p, q) pairs, zeroing one off-diagonal entry per
+    rotation in every matrix at once; stops when each matrix's off-diagonal
+    Frobenius mass is below 1e-12 times its norm, with a hard cap of 100
+    sweeps.  Adequate for the small m used here (m <= 8).  Raises ValueError
+    when some matrix is not symmetric.
     Returns (eigenvalues (N, m) descending, eigenvectors (N, m, m) columns).
     """
     A = np.array(S, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("expected a stack of square matrices of shape (N, m, m)")
+    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    if np.any(asym > _SYM_TOLERANCE * (1.0 + np.abs(A).max(axis=(1, 2), initial=0.0))):
+        raise ValueError("matrix is not symmetric")
     N, m = A.shape[0], A.shape[1]
     A = (A + A.transpose(0, 2, 1)) / 2.0
     O = np.broadcast_to(np.eye(m), (N, m, m)).copy()
     norms = np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
     offdiag = ~np.eye(m, dtype=bool)
     for _ in range(_JACOBI_MAX_SWEEPS):
+        # measured directly from the entries: the sum(A^2) - sum(diag^2)
+        # form cancels catastrophically near convergence
         off = np.sqrt(np.sum((A * offdiag) ** 2, axis=(1, 2)))
         if np.all(off <= _JACOBI_TOLERANCE * norms):
             break
@@ -239,6 +209,8 @@ def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
 def line_projector(v: np.ndarray) -> GrassmannPoint:
     """Rank-1 projector onto the line spanned by v."""
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite direction vector")
     nrm = np.linalg.norm(v)
     if nrm <= 1e-12:
         raise ValueError("near-zero direction vector")
@@ -253,4 +225,9 @@ def tmax(points, d: int, gamma: float) -> float:
     mats = [p.A for p in points]
     if not mats:
         raise ValueError("empty cloud")
-    return gamma * min(medial_distance(A, d) for A in mats)
+    mats = np.array(mats)
+    m = mats.shape[1]
+    if not 1 <= d < m:
+        raise ValueError(f"d = {d} out of range for m = {m}")
+    lam, _ = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
+    return gamma * float(np.min(np.sqrt(2.0) / 2.0 * np.abs(lam[:, d - 1] - lam[:, d])))

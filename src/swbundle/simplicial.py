@@ -207,6 +207,8 @@ def rips_filtration(
     n = D.shape[0]
     if D.shape != (n, n):
         raise ValueError("distance matrix must be square")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("distance matrix has non-finite entries")
     if np.any(D < 0):
         raise ValueError("negative distances")
     if np.max(np.abs(D - D.T)) > 1e-9:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +17,22 @@ from swbundle.bundle import (
     weak_simplicial_approximation,
     weak_star_check,
 )
-from swbundle.datasets import add_noise, circle_normal, circle_tautological
+from swbundle.datasets import (
+    add_noise,
+    circle_normal,
+    circle_tautological,
+    klein_normal,
+    torus_normal,
+)
 from swbundle.grassmann import MedialAxisError, gamma_dist
 from swbundle.projective import rp_face_map, triangulate_rp
-from swbundle.simplicial import SimplicialComplex, is_simplicial_map
-from swbundle.z2 import INF, barcode, is_cocycle
+from swbundle.simplicial import (
+    SimplicialComplex,
+    is_simplicial_map,
+    pullback_cochain,
+    rips_filtration,
+)
+from swbundle.z2 import INF, barcode, is_coboundary, is_cocycle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +73,19 @@ class TestLiftedCloud:
         pts = c.points
         for i, j in [(0, 3), (2, 7), (4, 5)]:
             assert D[i, j] == pytest.approx(gamma_dist(pts[i], pts[j], 1.5))
+
+    @pytest.mark.parametrize(
+        "xs, mats, gamma",
+        [
+            ([[np.nan]], [np.eye(2)], 1.0),
+            ([[0.0]], [[[np.inf, 0.0], [0.0, 0.0]]], 1.0),
+            ([[0.0]], [np.eye(2)], np.nan),
+            ([[0.0]], [np.eye(2)], np.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, xs, mats, gamma):
+        with pytest.raises(ValueError):
+            LiftedCloud(np.array(xs), np.array(mats), gamma)
 
     def test_json_roundtrip_with_direction_key(self):
         obj = {
@@ -291,6 +316,60 @@ class TestLifebar:
     def test_bad_resolution(self, T2):
         with pytest.raises(ValueError):
             lifebar(circle_tautological(30, 1.0), T2, resolution=0.0)
+
+    def test_noisy_klein_default_limit(self):
+        # this cloud used to run for minutes and gigabytes on the 2-complex
+        # and then hit the subdivision limit; the exact onset of its class
+        # (parity union-find over sign flips on the flag graph) is 0.33510
+        cloud = add_noise(klein_normal(16, 16), 0.05, 0)
+        start = time.perf_counter()
+        lb = lifebar(cloud, triangulate_rp(3))
+        assert time.perf_counter() - start < 60.0
+        assert not lb.empty
+        assert lb.t_dagger < 0.33510 <= lb.t_dagger + lb.resolution
+
+
+def _non_projector(cloud, seed):
+    """Rescaled, slightly asymmetric matrix parts: off G_1, off the medial axis."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.8, 1.2, size=(len(cloud), 1, 1))
+    mats = cloud.mats * scale + 0.05 * rng.normal(size=cloud.mats.shape)
+    return LiftedCloud(cloud.xs, mats, cloud.gamma)
+
+
+CROSS_CHECK_CLOUDS = {
+    "mobius-30-noisy": lambda: add_noise(circle_tautological(30, 1.0), 0.02, 0),
+    "mobius-36-noisy": lambda: add_noise(circle_tautological(36, 1.0), 0.05, 1),
+    "mobius-40-noisy": lambda: add_noise(circle_tautological(40, 1.0), 0.03, 2),
+    "mobius-32-noisy": lambda: add_noise(circle_tautological(32, 1.0), 0.05, 3),
+    "mobius-44-noisy": lambda: add_noise(circle_tautological(44, 1.0), 0.02, 4),
+    "mobius-28-noisy": lambda: add_noise(circle_tautological(28, 1.0), 0.04, 5),
+    "mobius-40": lambda: circle_tautological(40, 1.0),
+    "circle-normal-gamma-2": lambda: circle_normal(30, 2.0),
+    "circle-normal-noisy": lambda: add_noise(circle_normal(40, 1.0), 0.03, 1),
+    "torus-8": lambda: torus_normal(8, 8),
+    "torus-12-noisy": lambda: add_noise(torus_normal(12, 12), 0.03, 0),
+    "klein-12": lambda: klein_normal(12, 12),
+    "klein-12-noisy": lambda: add_noise(klein_normal(12, 12), 0.03, 1),
+    "klein-16": lambda: klein_normal(16, 16),
+    "mobius-non-projector": lambda: _non_projector(circle_tautological(30, 1.0), 3),
+    "circle-normal-non-projector": lambda: _non_projector(circle_normal(40, 1.0), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))
+def test_graph_decider_matches_two_complex(name):
+    # H^1 of the flag complex injects into H^1 of its graph, so the graph
+    # verdict of sw_class_at must match the paper's pipeline on the
+    # 2-dimensional flag complex at every index
+    cloud = CROSS_CHECK_CLOUDS[name]()
+    T = triangulate_rp(cloud.m)
+    D, payloads = cloud.distance_matrix(), cloud.payloads()
+    for t in np.linspace(0.0, rips_index_bound(cloud), 8, endpoint=False):
+        K = rips_filtration(D, SQRT2 * t, 2, payloads=payloads).complex
+        f, Kp, _ = weak_simplicial_approximation(K, T)
+        two_complex = not is_coboundary(Kp, pullback_cochain(f, Kp, T.L, T.w1))
+        assert sw_class_at(cloud, t, T).nonzero == two_complex, f"t = {t:g}"
 
 
 class TestHausdorff:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from swbundle.bundle import Lifebar
 from swbundle.cli import main
 from swbundle.render import barcode_text, lifebar_svg, lifebar_text
@@ -103,6 +105,33 @@ class TestLifebarCommand:
         rc = run("lifebar", "--input", str(cloud), "--subdiv-limit", "0",
                  "--resolution", "0.02", "--output", str(tmp_path / "lb.json"))
         assert rc == 3
+
+
+def _corrupt(obj, where):
+    if where == "x":
+        obj["points"][3]["x"][0] = float("nan")
+    elif where == "A":
+        obj["points"][5]["A"][1][1] = float("inf")
+    else:
+        obj["gamma"] = float("nan")
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+@pytest.mark.parametrize("where, message", [
+    ("x", "non-finite base coordinate"),
+    ("A", "non-finite matrix entry"),
+    ("gamma", "gamma must be positive and finite"),
+])
+def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
+    cloud = tmp_path / "c.json"
+    run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
+    obj = json.loads(cloud.read_text())
+    _corrupt(obj, where)
+    cloud.write_text(json.dumps(obj))  # NaN / Infinity literals, as json reads them
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRenderers:

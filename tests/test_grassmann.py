@@ -84,6 +84,13 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_batch_rejects_one_asymmetric(self, rng):
+        S = rng.normal(size=(4, 3, 3))
+        S = S + S.transpose(0, 2, 1)
+        S[2, 0, 1] += 1.0
+        with pytest.raises(ValueError):
+            jacobi_eigh_batch(S)
+
     def test_batch_matches_single(self, rng):
         S = rng.normal(size=(50, 3, 3))
         S = S + S.transpose(0, 2, 1)
@@ -212,6 +219,17 @@ class TestTmax:
         with pytest.raises(ValueError):
             tmax([], 1, 1.0)
 
+    def test_matches_medial_distance(self, rng):
+        pts = [MatrixPoint(rng.normal(size=2), rng.normal(size=(4, 4))) for _ in range(20)]
+        for d in (1, 2, 3):
+            expected = min(medial_distance(p.A, d) for p in pts)
+            assert tmax(pts, d, 1.5) == pytest.approx(1.5 * expected, rel=1e-12)
+
+    def test_d_range(self):
+        pts = [MatrixPoint([0.0], np.eye(2))]
+        with pytest.raises(ValueError):
+            tmax(pts, 2, 1.0)
+
 
 class TestLineProjector:
     def test_axis(self):
@@ -228,6 +246,10 @@ class TestLineProjector:
     def test_near_zero(self):
         with pytest.raises(ValueError):
             line_projector([0.0, 1e-15])
+
+    def test_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            line_projector([np.nan, 1.0])
 
     def test_top_direction(self, rng):
         v = rng.normal(size=3)

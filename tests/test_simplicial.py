@@ -71,6 +71,10 @@ class TestRips:
         with pytest.raises(ValueError):
             rips_filtration(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1.0, 1)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            rips_filtration(np.array([[0.0, np.nan], [np.nan, 0.0]]), 1.0, 1)
+
     def test_monotone_invariant(self, rng):
         for _ in range(10):
             pts = rng.normal(size=(9, 3))
