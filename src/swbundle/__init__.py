@@ -55,6 +55,7 @@ from .simplicial import (
     closed_star,
     is_simplicial_map,
     pullback_cochain,
+    rips_barcode,
     rips_filtration,
 )
 from .z2 import (

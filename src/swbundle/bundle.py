@@ -9,8 +9,8 @@ whether the pulled-back generator is a coboundary.
 
 Class decisions run on the flag graph (the 1-skeleton of the flag complex):
 the relative group H^1(K, K^1; Z/2) vanishes, so restricting to the graph is
-injective on H^1 and triangles cannot change a degree-1 answer.  Filtrations
-built for barcodes keep simplices up to dimension 2.
+injective on H^1 and triangles cannot change a degree-1 answer.
+build_bundle_filtration keeps simplices up to dimension 2.
 
 Scale convention: the class reported at index t is computed on the flag
 complex at scale sqrt(2) * t.  The index set [0, tmax_gamma / sqrt(2)) is
@@ -357,7 +357,17 @@ def sw_class_at(
     bound = rips_index_bound(cloud)
     if not 0.0 <= t < bound:
         raise ValueError(f"t = {t:g} outside the index set [0, {bound:g})")
-    K = _complex_at_scale(cloud, SQRT2 * t)
+    return _class_on(_complex_at_scale(cloud, SQRT2 * t), t, T, subdiv_limit, _pick)
+
+
+def _class_on(
+    K: SimplicialComplex,
+    t: float,
+    T: ProjectiveTriangulation,
+    subdiv_limit: int,
+    _pick: str = "min",
+) -> SWResult:
+    """The class at index t, decided on K, the flag graph at scale sqrt(2) * t."""
     try:
         f, Kp, k = weak_simplicial_approximation(K, T, subdiv_limit, _pick=_pick)
     except SubdivisionLimitError as err:
@@ -420,13 +430,17 @@ def lifebar(
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    if T.m != cloud.m:
+        raise ValueError("triangulation ambient dimension does not match the cloud")
     bound = rips_index_bound(cloud)
     if bound <= resolution:
         raise ValueError(f"index bound {bound:g} not larger than the resolution")
+    D, payloads = cloud.distance_matrix(), cloud.payloads()
     evals: list[tuple[float, bool, int]] = []
 
     def ev(t: float) -> bool:
-        r = sw_class_at(cloud, t, T, subdiv_limit)
+        K = rips_filtration(D, SQRT2 * t, 1, payloads=payloads).complex
+        r = _class_on(K, t, T, subdiv_limit)
         evals.append((t, r.nonzero, r.subdivisions_used))
         return r.nonzero
 

@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from . import datasets
-from .bundle import (
+# build_bundle_filtration, rips_filtration and barcode are not called here;
+# they stay importable from this module because bench/spans.py times them.
+from .bundle import (  # noqa: F401
     SubdivisionLimitError,
     build_bundle_filtration,
     lifebar,
@@ -23,8 +25,8 @@ from .bundle import (
 )
 from .projective import triangulate_rp
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
-from .simplicial import rips_filtration
-from .z2 import barcode
+from .simplicial import rips_barcode, rips_filtration  # noqa: F401
+from .z2 import barcode  # noqa: F401
 
 log = logging.getLogger("swbundle")
 
@@ -60,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bar.add_argument("--input", required=True)
     bar.add_argument("--max-edge", type=float, default=None,
                      help="largest filtration value (default: the bundle index bound)")
-    bar.add_argument("--max-dim", type=int, default=1, help="largest reported dimension")
+    bar.add_argument("--max-dim", type=int, default=1, choices=(0, 1),
+                     help="largest reported degree: 0 or 1 (the flag complex's H2 "
+                          "is not computed)")
     bar.add_argument("--output", required=True)
     bar.add_argument("--render", choices=("svg", "text", "json"), default="svg")
     bar.add_argument("--render-output", default=None)
@@ -99,15 +103,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_barcode(args) -> int:
     cloud = datasets.load_cloud(args.input)
-    bound = rips_index_bound(cloud)
-    max_edge = args.max_edge if args.max_edge is not None else bound
-    if max_edge <= bound + 1e-12:
-        F = build_bundle_filtration(cloud, max_edge)
-    else:
-        # plain persistence past the bundle bound: same flag filtration,
-        # no projection maps are attached there
-        F = rips_filtration(cloud.distance_matrix(), max_edge, 2)
-    bc = barcode(F, args.max_dim)
+    max_edge = args.max_edge if args.max_edge is not None else rips_index_bound(cloud)
+    bc = rips_barcode(cloud.distance_matrix(), max_edge, args.max_dim)
     Path(args.output).write_text(bc.to_json() + "\n")
     if args.render == "svg":
         _render_path(args).write_text(barcode_svg(bc, max_edge))

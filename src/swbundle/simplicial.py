@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .z2 import CochainZ2
+from .z2 import INF, Barcode, CochainZ2
 
 
 def _canonical(simplex: Iterable[int]) -> tuple:
@@ -190,18 +190,11 @@ def _flag_fill(n_vertices: int, edges: list[tuple], edge_values: dict, max_dim: 
     return simplices, values
 
 
-def rips_filtration(
-    D: np.ndarray,
-    max_value: float,
-    max_dim: int,
-    payloads: Optional[np.ndarray] = None,
-) -> FilteredComplex:
-    """Vietoris-Rips filtration of a finite metric space.
+def _flag_edges(D: np.ndarray, max_value: float):
+    """Validate a distance matrix and list the edges of its flag filtration.
 
-    Vertices enter at 0 and the edge {i, j} at D[i, j] / 2, so that the
-    complex at index t is the flag complex of the nerve of closed balls of
-    radius t.  Higher simplices (up to max_dim) enter at the max of their
-    edges; simplices with value > max_value are omitted.
+    Returns (n, i, j, values): the pairs i < j in lexicographic order whose
+    value D[i, j] / 2 is at most max_value.
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
@@ -219,11 +212,167 @@ def rips_filtration(
     iu, ju = np.triu_indices(n, k=1)
     vals = D[iu, ju] / 2.0
     keep = vals <= max_value
-    edges = [(int(a), int(b)) for a, b in zip(iu[keep], ju[keep])]
-    edge_values = {e: float(v) for e, v in zip(edges, vals[keep])}
+    return n, iu[keep], ju[keep], vals[keep]
+
+
+def rips_filtration(
+    D: np.ndarray,
+    max_value: float,
+    max_dim: int,
+    payloads: Optional[np.ndarray] = None,
+) -> FilteredComplex:
+    """Vietoris-Rips filtration of a finite metric space.
+
+    Vertices enter at 0 and the edge {i, j} at D[i, j] / 2, so that the
+    complex at index t is the flag complex of the nerve of closed balls of
+    radius t.  Higher simplices (up to max_dim) enter at the max of their
+    edges; simplices with value > max_value are omitted.
+    """
+    n, iu, ju, vals = _flag_edges(D, max_value)
+    edges = list(zip(iu.tolist(), ju.tolist()))
+    edge_values = dict(zip(edges, vals.tolist()))
     simplices, values = _flag_fill(n, edges, edge_values, max_dim)
     K = SimplicialComplex(simplices, payloads=payloads, _trusted=True)
     return FilteredComplex(K, values, _skip_checks=True)
+
+
+def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
+    """Barcode in degrees 0..max_dim (at most 1) of the flag filtration of D.
+
+    The intervals equal those of ``barcode(rips_filtration(D, max_value, 2),
+    max_dim)``, but no triangle is ever built.  H0 comes from Kruskal's
+    union-find over the edges in filtration order.  H1 comes from persistent
+    cohomology (de Silva, Morozov & Vejdemo-Johansson, arXiv 1107.5665) in
+    the manner of Ripser (Bauer, arXiv 1908.02518): edge coboundaries are
+    enumerated from the edge rank matrix and reduced from the latest edge to
+    the earliest, spanning-tree edges are cleared, and apparent pairs are
+    taken without reduction.
+    """
+    if max_dim not in (0, 1):
+        raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
+    n, iu, ju, vals = _flag_edges(D, max_value)
+    # filtration order (value, i, j): the pairs already come in (i, j) order
+    order = np.argsort(vals, kind="stable")
+    iu, ju, values = iu[order], ju[order], vals[order].tolist()
+
+    parent = list(range(n))
+    tree = np.zeros(len(values), dtype=bool)
+    bars: list[tuple] = []
+    for e, (a, b) in enumerate(zip(iu.tolist(), ju.tolist())):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            tree[e] = True
+            if values[e] > 0.0:
+                bars.append((0, 0.0, values[e]))
+    bars += [(0, 0.0, INF)] * (n - int(tree.sum()))
+    if max_dim == 1 and values:
+        bars += _h1_bars(n, iu, ju, values, tree)
+    bars.sort()
+    return Barcode(tuple(bars))
+
+
+def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndarray) -> list:
+    """Degree-1 intervals of the flag filtration whose edges, in filtration
+    order, are (iu[r], ju[r]) with values[r]; tree marks the H0 deaths.
+
+    A triangle is keyed by its edge ranks in descending order, packed into
+    one int64, so that key order is a filtration order.  A column is a
+    sorted key array and its pivot is its smallest key (its earliest coface).
+    """
+    E = len(values)
+    if E ** 3 > 2 ** 63:
+        raise ValueError(f"{E} edges: triangle keys would overflow int64")
+    E2 = E * E
+    R = np.full((n, n), E, dtype=np.int32)  # edge rank, E where there is no edge
+    ranks = np.arange(E, dtype=np.int32)
+    R[iu, ju] = ranks
+    R[ju, iu] = ranks
+
+    def coboundary(e: int) -> np.ndarray:
+        ra, rb = R[iu[e]], R[ju[e]]
+        hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
+        keep = hi < E
+        hi, lo = hi[keep].astype(np.int64), lo[keep].astype(np.int64)
+        keys = np.maximum(hi, e) * E2 + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
+        keys.sort()
+        return keys
+
+    # Edge e is apparent when its earliest coface has e as its latest edge,
+    # i.e. some k has max(R[a, k], R[b, k]) < e.  That pair has zero length;
+    # its pivot is registered with the edge, whose coboundary (already
+    # reduced) is rebuilt if an earlier column reaches that pivot.
+    pivots: dict = {}
+    apparent = np.zeros(E, dtype=bool)
+    chunk = max(1, (1 << 18) // n)
+    for start in range(0, E, chunk):
+        r = ranks[start: start + chunk]
+        ra, rb = R[iu[start: start + chunk]], R[ju[start: start + chunk]]
+        hi = np.maximum(ra, rb)
+        rest = hi.astype(np.int64) * E + np.minimum(ra, rb)  # coface key less e * E2
+        rest[hi >= r[:, None]] = E2
+        first = rest.min(axis=1)
+        found = first < E2
+        apparent[start: start + chunk] = found
+        pivots.update(zip((r[found] * np.int64(E2) + first[found]).tolist(),
+                          r[found].tolist()))
+
+    def registered(pivot: int):
+        other = pivots.get(pivot)
+        return coboundary(other) if isinstance(other, int) else other
+
+    bars = []
+    for e in np.nonzero(~(tree | apparent))[0][::-1].tolist():
+        pivot, col = _reduce_column(coboundary(e), registered)
+        if pivot is None:
+            bars.append((1, values[e], INF))
+            continue
+        pivots[pivot] = col
+        death = values[pivot // E2]
+        if death > values[e]:
+            bars.append((1, values[e], death))
+    return bars
+
+
+def _reduce_column(col: np.ndarray, registered):
+    """Add registered columns to col until its pivot is unregistered.
+
+    Returns (pivot, reduced column), or (None, None) when the column
+    vanishes.  The column is held as head[start:] XOR buf: an added column
+    is small and goes into buf, which is merged into head only once it
+    outgrows sqrt(64 |head|), so a long column is not copied per addition.
+    """
+    head, start, buf = col, 0, col[:0]
+    while True:
+        while start < head.size and buf.size and head[start] == buf[0]:
+            start += 1
+            buf = buf[1:]
+        if start < head.size and not (buf.size and buf[0] < head[start]):
+            pivot = int(head[start])
+        elif buf.size:
+            pivot = int(buf[0])
+        else:
+            return None, None
+        other = registered(pivot)
+        if other is None:
+            return pivot, _xor_sorted(head[start:], buf)
+        buf = _xor_sorted(buf, other)
+        if buf.size ** 2 > 64 * (head.size - start):
+            head, start, buf = _xor_sorted(head[start:], buf), 0, buf[:0]
+
+
+def _xor_sorted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Symmetric difference of two sorted arrays of distinct keys, sorted."""
+    z = np.concatenate((x, y))
+    z.sort(kind="stable")  # a merge of two sorted runs
+    dup = z[1:] == z[:-1]
+    keep = np.ones(z.size, dtype=bool)
+    keep[1:] &= ~dup
+    keep[:-1] &= ~dup
+    return z[keep]
 
 
 def clique_complex(edges: Iterable[tuple], n_vertices: int, max_dim: int) -> SimplicialComplex:

@@ -1,8 +1,9 @@
 """GF(2) linear algebra, persistence barcodes, and cocycle/coboundary tests.
 
 Small matrices are dense uint8 arrays reduced by XOR row operations; the
-barcode reduction uses sparse bitmask columns instead, which scales to the
-flag complexes produced by the bundle pipeline.
+barcode reduction uses sparse bitmask columns over stored simplices.  It is
+the general reference: flag-filtration barcodes are computed without stored
+triangles by ``simplicial.rips_barcode``, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -328,6 +329,8 @@ def barcode(F, max_dim: int) -> Barcode:
     integers over the simplices one dimension down; the pivot is the highest
     set bit.  Zero-length intervals are dropped.
     """
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     _check_monotone(F)
     values = F.values
     dims = sorted(F.complex.simplices)

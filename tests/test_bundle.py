@@ -317,6 +317,31 @@ class TestLifebar:
         with pytest.raises(ValueError):
             lifebar(circle_tautological(30, 1.0), T2, resolution=0.0)
 
+    def test_cloud_data_computed_once(self, T2, monkeypatch):
+        import swbundle.bundle as bundle
+
+        calls = {"tmax": 0, "distance_matrix": 0, "payloads": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bundle, "tmax", counted("tmax", bundle.tmax))
+        for name in ("distance_matrix", "payloads"):
+            monkeypatch.setattr(LiftedCloud, name, counted(name, getattr(LiftedCloud, name)))
+        cloud = circle_tautological(40, 1.0)
+        expected = lifebar(circle_tautological(40, 1.0), T2, resolution=0.05)
+        calls.update(tmax=0, distance_matrix=0, payloads=0)
+        lb = lifebar(cloud, T2, resolution=0.05)
+        assert lb == expected and len(lb.evaluations) > 2
+        assert calls == {"tmax": 1, "distance_matrix": 1, "payloads": 1}
+
+    def test_mismatched_triangulation(self, T2):
+        with pytest.raises(ValueError):
+            lifebar(klein_normal(6, 6), T2)
+
     def test_noisy_klein_default_limit(self):
         # this cloud used to run for minutes and gigabytes on the 2-complex
         # and then hit the subdivision limit; the exact onset of its class

@@ -63,6 +63,25 @@ class TestBarcodeCommand:
         assert longest[1] - longest[0] > 0.5
         assert (tmp_path / "bc.txt").exists()
 
+    @pytest.mark.parametrize("max_dim", ["-1", "2"])
+    def test_max_dim_outside_0_1_exits_2(self, tmp_path, max_dim):
+        cloud = tmp_path / "c.json"
+        out = tmp_path / "bc.json"
+        run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
+        with pytest.raises(SystemExit) as exc:
+            run("barcode", "--input", str(cloud), "--max-dim", max_dim, "--output", str(out))
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_max_dim_0_reports_h0_only(self, tmp_path):
+        cloud = tmp_path / "c.json"
+        out = tmp_path / "bc.json"
+        run("generate", "--dataset", "circle-normal", "--count", "30", "--output", str(cloud))
+        assert run("barcode", "--input", str(cloud), "--max-edge", "1.3", "--max-dim", "0",
+                   "--output", str(out), "--render", "json") == 0
+        bc = Barcode.from_json(out.read_text())
+        assert bc.intervals and all(d == 0 for d, _, _ in bc.intervals)
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("barcode", "--input", str(tmp_path / "nope.json"),
                    "--output", str(tmp_path / "x.json")) == 2
