@@ -333,9 +333,17 @@ class SWResult:
     approximation: dict
 
 
-def _complex_at_scale(cloud: LiftedCloud, scale: float) -> SimplicialComplex:
-    D = cloud.distance_matrix()
-    return rips_filtration(D, scale, 1, payloads=cloud.payloads()).complex
+def _complex_at_scale(
+    cloud: LiftedCloud,
+    scale: float,
+    D: Optional[np.ndarray] = None,
+    payloads: Optional[np.ndarray] = None,
+) -> SimplicialComplex:
+    """The flag graph of the cloud at the scale.  lifebar passes the cloud's
+    distance matrix and payloads, so that it computes them only once."""
+    D = cloud.distance_matrix() if D is None else D
+    payloads = cloud.payloads() if payloads is None else payloads
+    return rips_filtration(D, scale, 1, payloads=payloads).complex
 
 
 def sw_class_at(
@@ -439,7 +447,7 @@ def lifebar(
     evals: list[tuple[float, bool, int]] = []
 
     def ev(t: float) -> bool:
-        K = rips_filtration(D, SQRT2 * t, 1, payloads=payloads).complex
+        K = _complex_at_scale(cloud, SQRT2 * t, D, payloads)
         r = _class_on(K, t, T, subdiv_limit)
         evals.append((t, r.nonzero, r.subdivisions_used))
         return r.nonzero

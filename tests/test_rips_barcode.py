@@ -60,6 +60,15 @@ def test_canonical_clouds(cloud):
     assert rips_barcode(D, 1.3).in_dim(1)  # these clouds have degree-1 classes at 1.3
 
 
+def test_keys_past_int32(rng):
+    # a noisy circle with all 1,770 edges: its cycle dies late, and reducing
+    # it reaches apparent pivots rank * E ** 2 + ... far beyond 2 ** 31
+    theta = rng.uniform(0.0, 2 * np.pi, 60)
+    pts = np.c_[np.cos(theta), np.sin(theta)] + 0.1 * rng.normal(size=(60, 2))
+    D = distances(pts)
+    assert_matches_reference(D, float(D.max()))
+
+
 @pytest.mark.parametrize("max_dim", [-1, 2])
 def test_rejects_degrees_outside_0_1(max_dim):
     with pytest.raises(ValueError):
