@@ -301,6 +301,8 @@ def weak_simplicial_approximation(
     """
     if K.dim > 2:
         raise ValueError("pipeline complexes are capped at dimension 2")
+    if subdiv_limit < 0:
+        raise ValueError(f"subdivision limit must be non-negative, got {subdiv_limit}")
     current = K
     failing = None
     for k in range(subdiv_limit + 1):
@@ -436,8 +438,8 @@ def lifebar(
     zero there the lifebar is empty, otherwise the zero/nonzero boundary is
     bisected until the bracket is narrower than the resolution.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")
     bound = rips_index_bound(cloud)

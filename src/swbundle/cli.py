@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -102,6 +103,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_barcode(args) -> int:
+    if args.max_edge is not None and not math.isfinite(args.max_edge):
+        raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
     cloud = datasets.load_cloud(args.input)
     max_edge = args.max_edge if args.max_edge is not None else rips_index_bound(cloud)
     bc = rips_barcode(cloud.distance_matrix(), max_edge, args.max_dim)

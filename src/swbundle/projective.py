@@ -3,22 +3,25 @@
 The boundary of the standard m-simplex triangulates the (m-1)-sphere; its
 barycentric subdivision has one vertex per nonempty proper subset of the
 m+1 corner labels, and identifying each subset with its complement yields a
-triangulation L of RP^{m-1} = G_1(R^m).  Everything the pipeline needs is
-precomputed here: the quotient 2-skeleton with a generator of H^1, unit
-embeddings of the vertices, and the ray-shooting face map of the sphere.
+triangulation L of RP^{m-1} = G_1(R^m).  In a barycentric subdivision the
+cell holding a point is given by the order of its coordinates: the ray
+through a sum-zero x lies in the cone of the chain S_1 < ... < S_m exactly
+when each S_k holds the labels of the k largest coordinates of x.  Built
+here: the quotient 2-skeleton with the generator of H^1 in closed form, unit
+embeddings of the vertices, and that coordinate-order face map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
 from .simplicial import SimplicialComplex
-from .z2 import CochainZ2, h1_generator
+from .z2 import CochainZ2
 
-FACE_EPSILON = 1e-9  # barycentric coordinates >= -FACE_EPSILON count as inside
+FACE_EPSILON = 1e-9  # coordinate gaps <= FACE_EPSILON count as ties
 
 _MIN_M = 2
 _MAX_M = 6
@@ -41,73 +44,37 @@ class ProjectiveTriangulation:
     vertex_embeddings: np.ndarray
     w1: CochainZ2
     _basis: np.ndarray = field(repr=False)
-    _subsets: list = field(repr=False)
-    _sphere_coords: np.ndarray = field(repr=False)
-    _sphere_to_l: np.ndarray = field(repr=False)
-    _face_normals: np.ndarray = field(repr=False)
-    _face_offsets: np.ndarray = field(repr=False)
-    _face_bary: np.ndarray = field(repr=False)
-    _face_masks: list = field(repr=False)
+    _mask_to_l: np.ndarray = field(repr=False)  # label bitmask -> L vertex id
 
     # -- face maps ---------------------------------------------------------
 
-    def sphere_faces(self, X: np.ndarray) -> list:
-        """Sphere face map for a batch of unit vectors in hyperplane coordinates.
+    def _chains(self, X: np.ndarray):
+        """Subset chains of a batch of unit vectors in hyperplane coordinates.
 
-        Each result is the bitmask (over sphere vertex ids) of the
-        intersection of all maximal faces hit by the ray through the query.
+        Returns (masks, keep), both (N, m): masks[n, k-1] is the label
+        bitmask of the k largest coordinates of query n, a vertex of its
+        sphere face where keep[n, k-1], i.e. where the k-th and (k+1)-th
+        largest coordinates differ by more than FACE_EPSILON.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out: list[int] = []
-        H, h0, B = self._face_normals, self._face_offsets, self._face_bary
-        n_faces = H.shape[0]
-        chunk = max(1, int(2_000_000 / max(n_faces * self.m, 1)))
-        for lo in range(0, X.shape[0], chunk):
-            xs = X[lo: lo + chunk]
-            dots = xs @ H.T                                   # (N, F)
-            ok = dots > 1e-300                                # normals point away from origin
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha = np.where(ok, h0[None, :] / dots, np.nan)
-            y = alpha[:, :, None] * xs[:, None, :]            # (N, F, m)
-            lam = np.einsum("fam,nfm->nfa", B[:, :, : self.m], y) + B[None, :, :, self.m].reshape(
-                1, n_faces, self.m
-            )
-            lam = np.where(ok[:, :, None], lam, np.inf)  # keep NaNs of skipped faces out
-            ok &= np.min(lam, axis=2) >= -FACE_EPSILON
-            for row in ok:
-                mask = -1
-                for f in np.nonzero(row)[0]:
-                    mask &= self._face_masks[f]
-                if mask <= 0:
-                    raise RuntimeError("no qualifying maximal face for query point")
-                out.append(mask)
-        return out
-
-    def sphere_mask_to_subsets(self, mask: int) -> tuple:
-        """Translate a sphere-vertex bitmask into its subset chain."""
-        subs = []
-        while mask:
-            bit = mask & -mask
-            subs.append(self._subsets[bit.bit_length() - 1])
-            mask ^= bit
-        return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
-
-    def quotient_mask(self, mask: int) -> tuple:
-        """Translate a sphere-vertex bitmask into the quotient simplex of L."""
-        ids = set()
-        while mask:
-            bit = mask & -mask
-            ids.add(int(self._sphere_to_l[bit.bit_length() - 1]))
-            mask ^= bit
-        return tuple(sorted(ids))
+        Z = X @ self._basis.T
+        order = np.argsort(-Z, axis=1, kind="stable")
+        desc = np.take_along_axis(Z, order, axis=1)
+        keep = desc[:, :-1] - desc[:, 1:] > FACE_EPSILON
+        masks = np.bitwise_or.accumulate(np.left_shift(1, order[:, :-1]), axis=1)
+        return masks, keep
 
     def face_simplices(self, directions: np.ndarray) -> list:
         """L-simplices hit by a batch of line directions in R^m."""
         X = np.atleast_2d(np.asarray(directions, dtype=float))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("non-finite direction vector")
         norms = np.linalg.norm(X, axis=1)
         if np.any(norms <= 1e-12):
             raise ValueError("zero direction vector")
-        return [self.quotient_mask(mk) for mk in self.sphere_faces(X / norms[:, None])]
+        masks, keep = self._chains(X / norms[:, None])
+        # a chain never holds a subset and its complement, so its ids are distinct
+        ids = np.sort(np.where(keep, self._mask_to_l[masks], len(self.vertex_labels)), axis=1)
+        return [tuple(row[:c]) for row, c in zip(ids.tolist(), keep.sum(axis=1).tolist())]
 
     def to_json_obj(self) -> dict:
         return {
@@ -139,160 +106,79 @@ def _hyperplane_basis(m: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _complement_vector(diffs: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to the rows of diffs ((m-1) x m, full rank)."""
-    m = diffs.shape[1]
-    Q: list[np.ndarray] = []
-    for v in diffs:
-        w = v.copy()
-        for q in Q:
-            w -= (w @ q) * q
-        n = np.linalg.norm(w)
-        if n <= 1e-12:
-            raise RuntimeError("degenerate maximal face")
-        Q.append(w / n)
-    best = None
-    best_norm = -1.0
-    for k in range(m):
-        r = np.zeros(m)
-        r[k] = 1.0
-        for q in Q:
-            r -= (r @ q) * q
-        n = np.linalg.norm(r)
-        if n > best_norm:
-            best_norm = n
-            best = r
-    if best_norm <= 1e-12:
-        raise RuntimeError("degenerate maximal face")
-    return best / best_norm
-
-
 def triangulate_rp(m: int) -> ProjectiveTriangulation:
     """Build the quotient triangulation of RP^{m-1} for 2 <= m <= 6.
 
     Subdivides the boundary of the m-simplex once (vertices = nonempty
     proper subsets of the m+1 labels, simplices = inclusion chains),
     identifies complementary subsets, and keeps the 2-skeleton of the
-    quotient together with the geometry needed by the face maps.
+    quotient.  A sphere edge whose ends disagree on holding label 0 joins a
+    canonical subset to a non-canonical one; the images of those edges form
+    w1, the class of the antipodal double cover, which generates H^1.
     """
     if not _MIN_M <= m <= _MAX_M:
         raise ValueError(f"m = {m} outside supported range [{_MIN_M}, {_MAX_M}]")
-    labels = range(m + 1)
-    full = frozenset(labels)
-    subsets = [
-        frozenset(s)
-        for size in range(1, m + 1)
-        for s in _subsets_of_size(labels, size)
+    full = (1 << (m + 1)) - 1
+    # quotient vertices: the canonical representative contains label 0;
+    # combinations() yields them ordered by (size, sorted labels)
+    vertex_labels = [
+        frozenset((0,) + c) for size in range(m) for c in combinations(range(1, m + 1), size)
     ]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    sub_index = {s: i for i, s in enumerate(subsets)}
-
-    # quotient vertices: canonical representative contains label 0
-    def rep(s: frozenset) -> frozenset:
-        return s if 0 in s else full - s
-
-    vertex_labels = sorted({rep(s) for s in subsets}, key=lambda s: (len(s), sorted(s)))
-    rep_index = {s: i for i, s in enumerate(vertex_labels)}
-    sphere_to_l = np.array([rep_index[rep(s)] for s in subsets], dtype=np.int64)
+    mask_to_l = np.full(full + 1, -1, dtype=np.int64)
+    for i, lab in enumerate(vertex_labels):
+        mk = sum(1 << j for j in lab)
+        mask_to_l[mk] = mask_to_l[full ^ mk] = i
 
     # quotient 2-skeleton: images of chains of length <= 3
-    supersets = {s: [t for t in subsets if s < t] for s in subsets}
+    l_id = mask_to_l.tolist()
+    sphere = range(1, full)
+    supersets = {a: [b for b in sphere if a & b == a != b] for a in sphere}
     simplices: set[tuple] = {(i,) for i in range(len(vertex_labels))}
-    for a in subsets:
-        ia = sphere_to_l[sub_index[a]]
+    w1: set[tuple] = set()
+    for a in sphere:
         for b in supersets[a]:
-            ib = sphere_to_l[sub_index[b]]
-            simplices.add(tuple(sorted((int(ia), int(ib)))))
+            edge = tuple(sorted((l_id[a], l_id[b])))
+            simplices.add(edge)
+            if (a ^ b) & 1:
+                w1.add(edge)
             for c in supersets[b]:
-                ic = sphere_to_l[sub_index[c]]
-                simplices.add(tuple(sorted((int(ia), int(ib), int(ic)))))
-    L = SimplicialComplex(simplices)
-
-    w1 = h1_generator(L)
-    if w1 is None:
-        raise RuntimeError("projective triangulation has trivial H^1; construction broken")
-
-    basis = _hyperplane_basis(m)
-    embeddings = np.array([_centered_unit(s, m) for s in vertex_labels])
-    sphere_coords = np.array([_centered_unit(s, m) @ basis for s in subsets])
-
-    # maximal faces: one chain of subset sizes 1..m per permutation
-    face_vertex_ids = []
-    seen = set()
-    for perm in permutations(labels):
-        ids = []
-        acc = set()
-        for k in range(m):
-            acc.add(perm[k])
-            ids.append(sub_index[frozenset(acc)])
-        key = tuple(ids)
-        if key not in seen:
-            seen.add(key)
-            face_vertex_ids.append(ids)
-
-    normals = np.empty((len(face_vertex_ids), m))
-    offsets = np.empty(len(face_vertex_ids))
-    bary = np.empty((len(face_vertex_ids), m, m + 1))
-    masks = []
-    ones = np.ones((1, m))
-    for f, ids in enumerate(face_vertex_ids):
-        W = sphere_coords[ids]                      # (m, m) rows are vertices
-        h = _complement_vector(W[1:] - W[0])
-        h0 = float(W[0] @ h)
-        if h0 < 0:
-            h, h0 = -h, -h0
-        if h0 <= 1e-12:
-            raise RuntimeError("maximal face hyperplane passes through the origin")
-        normals[f] = h
-        offsets[f] = h0
-        bary[f] = np.linalg.pinv(np.vstack([W.T, ones]))
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        masks.append(mask)
+                simplices.add(tuple(sorted((l_id[a], l_id[b], l_id[c]))))
 
     return ProjectiveTriangulation(
         m=m,
-        L=L,
+        L=SimplicialComplex(simplices),
         vertex_labels=vertex_labels,
-        vertex_embeddings=embeddings,
-        w1=w1,
-        _basis=basis,
-        _subsets=subsets,
-        _sphere_coords=sphere_coords,
-        _sphere_to_l=sphere_to_l,
-        _face_normals=normals,
-        _face_offsets=offsets,
-        _face_bary=bary,
-        _face_masks=masks,
+        vertex_embeddings=np.array([_centered_unit(s, m) for s in vertex_labels]),
+        w1=CochainZ2(1, frozenset(w1)),
+        _basis=_hyperplane_basis(m),
+        _mask_to_l=mask_to_l,
     )
 
 
-def _subsets_of_size(labels, size):
-    from itertools import combinations
-
-    return combinations(labels, size)
-
-
 def sphere_face_map(x: np.ndarray, T: ProjectiveTriangulation) -> tuple:
-    """Smallest simplex of the subdivided sphere whose closure meets the ray of x.
+    """The simplex of the subdivided sphere whose open cone holds the ray of x.
 
     ``x`` is a unit vector of R^{m+1} lying in the sum-zero hyperplane.
-    Returns the simplex as a tuple of label subsets.  Conditions are tested
-    with slack FACE_EPSILON, so the result may differ from the exact face by
-    simplices sharing its boundary; either direction is harmless for the
-    weak star machinery.
+    Returns the simplex as its chain of label subsets: for each k where the
+    k-th and (k+1)-th largest coordinates of x differ by more than
+    FACE_EPSILON, the labels of the k largest.  A gap within FACE_EPSILON
+    counts as a tie, so near a cell boundary the result may be a face of
+    the exact simplex; that is harmless for the weak star machinery.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (T.m + 1,):
         raise ValueError(f"expected a vector of R^{T.m + 1}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite vector")
     if abs(np.linalg.norm(x) - 1.0) > 1e-6:
         raise ValueError("expected a unit vector")
     if abs(x.sum()) > 1e-6:
         raise ValueError("expected a vector in the sum-zero hyperplane")
     xp = x @ T._basis
-    xp /= np.linalg.norm(xp)
-    return T.sphere_mask_to_subsets(T.sphere_faces(xp[None, :])[0])
+    masks, keep = T._chains((xp / np.linalg.norm(xp))[None, :])
+    return tuple(
+        frozenset(i for i in range(T.m + 1) if mk >> i & 1) for mk in masks[0][keep[0]].tolist()
+    )
 
 
 def rp_face_map(v, T: ProjectiveTriangulation) -> tuple:

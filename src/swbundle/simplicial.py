@@ -196,6 +196,8 @@ def _flag_edges(D: np.ndarray, max_value: float):
     Returns (n, i, j, values): the pairs i < j in lexicographic order whose
     value D[i, j] / 2 is at most max_value.
     """
+    if not max_value >= 0:
+        raise ValueError(f"max value must be non-negative, got {max_value}")
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     if D.shape != (n, n):

@@ -240,6 +240,11 @@ class TestWeakStar:
         with pytest.raises(SubdivisionLimitError):
             weak_simplicial_approximation(K, T2, subdiv_limit=0)
 
+    def test_negative_limit_refused(self, T2):
+        K = build_bundle_filtration(circle_tautological(20, 1.0), 0.3).complex
+        with pytest.raises(ValueError, match="subdivision limit must be non-negative"):
+            weak_simplicial_approximation(K, T2, subdiv_limit=-1)
+
 
 class TestClassEvaluation:
     def test_mobius_nonzero(self, T2):
@@ -314,8 +319,9 @@ class TestLifebar:
         assert all(set(e) == {"t", "nonzero", "subdivisions"} for e in obj["evaluations"])
 
     def test_bad_resolution(self, T2):
-        with pytest.raises(ValueError):
-            lifebar(circle_tautological(30, 1.0), T2, resolution=0.0)
+        for resolution in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="resolution must be positive and finite"):
+                lifebar(circle_tautological(30, 1.0), T2, resolution=resolution)
 
     def test_cloud_data_computed_once(self, T2, monkeypatch):
         import swbundle.bundle as bundle

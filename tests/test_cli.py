@@ -82,6 +82,16 @@ class TestBarcodeCommand:
         bc = Barcode.from_json(out.read_text())
         assert bc.intervals and all(d == 0 for d, _, _ in bc.intervals)
 
+    @pytest.mark.parametrize("max_edge", ["nan", "-1", "inf"])
+    def test_bad_max_edge_exits_2(self, tmp_path, capsys, max_edge):
+        cloud = tmp_path / "c.json"
+        out = tmp_path / "bc.json"
+        run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
+        assert run("barcode", "--input", str(cloud), "--max-edge", max_edge,
+                   "--output", str(out)) == 2
+        assert "max" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "bc.svg").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("barcode", "--input", str(tmp_path / "nope.json"),
                    "--output", str(tmp_path / "x.json")) == 2
@@ -124,6 +134,18 @@ class TestLifebarCommand:
         rc = run("lifebar", "--input", str(cloud), "--subdiv-limit", "0",
                  "--resolution", "0.02", "--output", str(tmp_path / "lb.json"))
         assert rc == 3
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--resolution", "nan", "resolution must be positive and finite"),
+        ("--subdiv-limit", "-1", "subdivision limit must be non-negative"),
+    ], ids=["resolution-nan", "subdiv-limit-negative"])
+    def test_bad_option_exits_2(self, tmp_path, capsys, option, value, message):
+        cloud = tmp_path / "c.json"
+        out = tmp_path / "lb.json"
+        run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
+        assert run("lifebar", "--input", str(cloud), option, value, "--output", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _corrupt(obj, where):

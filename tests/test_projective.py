@@ -11,7 +11,7 @@ from swbundle.projective import (
     sphere_face_map,
     triangulate_rp,
 )
-from swbundle.z2 import betti_numbers, is_coboundary, is_cocycle
+from swbundle.z2 import betti_numbers, h1_generator, is_coboundary, is_cocycle
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +80,12 @@ class TestConstruction:
         assert all(0 in lab for lab in T3.vertex_labels)
 
     def test_w1_generates(self):
-        for m in (2, 3, 4):
+        # the closed-form w1 is cohomologous to the dense GF(2) generator
+        for m in (2, 3, 4, 5, 6):
             T = triangulate_rp(m)
             assert is_cocycle(T.L, T.w1)
             assert not is_coboundary(T.L, T.w1)
+            assert is_coboundary(T.L, T.w1 + h1_generator(T.L))
 
 
 class TestEmbeddings:
@@ -112,39 +114,39 @@ class TestEmbeddings:
                     assert np.allclose(a, -b)
 
 
-def brute_force_sphere_face(T: ProjectiveTriangulation, x_p: np.ndarray) -> int:
-    """Oracle: re-test the two hyperplane conditions per maximal face with
-    an independent least-squares barycentric solve."""
-    coords = T._sphere_coords
-    mask = -1
-    hit = False
-    for ids, h, h0 in zip(_face_ids(T), T._face_normals, T._face_offsets):
-        W = coords[list(ids)]
-        dot = float(x_p @ h)
-        if not (dot > 0 and h0 > 0) and not (dot < 0 and h0 < 0):
-            continue
-        y = (h0 / dot) * x_p
-        A = np.vstack([W.T, np.ones(len(ids))])
-        lam, *_ = np.linalg.lstsq(A, np.append(y, 1.0), rcond=None)
-        if lam.min() >= -1e-9:
-            hit = True
-            fmask = 0
-            for i in ids:
-                fmask |= 1 << i
-            mask &= fmask
-    return mask if hit else 0
-
-
-def _face_ids(T: ProjectiveTriangulation):
+def cone_oracle(m: int, X: np.ndarray) -> list:
+    """Independent face map: for each query, intersect the vertex sets of all
+    maximal chains (one per label permutation) whose cone holds the query,
+    found by a least-squares solve against the centered-indicator vertices."""
+    hits = [[] for _ in range(X.shape[0])]
+    for perm in itertools.permutations(range(m + 1)):
+        chain = [frozenset(perm[:k]) for k in range(1, m + 1)]
+        W = np.column_stack([_centered_unit(s, m) for s in chain])
+        lam, *_ = np.linalg.lstsq(W, X.T, rcond=None)
+        assert np.allclose(W @ lam, X.T, atol=1e-9)
+        for n in np.nonzero(lam.min(axis=0) >= -1e-9)[0]:
+            hits[n].append(frozenset(chain))
     out = []
-    for mk in T._face_masks:
-        ids = []
-        while mk:
-            bit = mk & -mk
-            ids.append(bit.bit_length() - 1)
-            mk ^= bit
-        out.append(tuple(ids))
+    for faces in hits:
+        assert faces, "no maximal face holds the query"
+        out.append(frozenset.intersection(*faces))
     return out
+
+
+def _oracle_directions(T: ProjectiveTriangulation, rng) -> np.ndarray:
+    """Random directions plus vertex embeddings and the ± midpoints of
+    embedding pairs, in the hyperplane coordinates of T."""
+    E = T.vertex_embeddings @ T._basis
+    pairs = list(itertools.combinations(range(len(E)), 2))
+    return np.vstack(
+        [
+            rng.normal(size=(200, T.m)),
+            E,
+            [E[i] + E[j] for i, j in pairs],
+            [E[i] - E[j] for i, j in pairs],
+            np.eye(T.m),
+        ]
+    )
 
 
 class TestSphereFaceMap:
@@ -169,20 +171,28 @@ class TestSphereFaceMap:
             for a, b in zip(chain, chain[1:]):
                 assert a < b
 
-    def test_matches_bruteforce(self, T3, rng):
-        for _ in range(100):
-            x = rng.normal(size=4)
-            x -= x.mean()
-            x /= np.linalg.norm(x)
-            xp = x @ T3._basis
-            xp /= np.linalg.norm(xp)
-            assert T3.sphere_faces(xp[None, :])[0] == brute_force_sphere_face(T3, xp)
+    def test_matches_bruteforce(self, rng):
+        for m in (2, 3, 4):
+            T = triangulate_rp(m)
+            V = _oracle_directions(T, rng)
+            X = (V / np.linalg.norm(V, axis=1)[:, None]) @ T._basis.T
+            expected = cone_oracle(m, X)
+            full = frozenset(range(m + 1))
+            quotient = [
+                tuple(sorted(T.vertex_labels.index(s if 0 in s else full - s) for s in face))
+                for face in expected
+            ]
+            assert T.face_simplices(V) == quotient
+            for x, face in zip(X, expected):
+                assert frozenset(sphere_face_map(x / np.linalg.norm(x), T)) == face
 
     def test_rejects_bad_input(self, T2):
         with pytest.raises(ValueError):
             sphere_face_map(np.array([1.0, 0.0, 0.0]), T2)  # not sum-zero
         with pytest.raises(ValueError):
             sphere_face_map(np.array([1.0, -2.0, 1.0]), T2)  # not unit
+        with pytest.raises(ValueError, match="non-finite"):
+            sphere_face_map(np.array([np.nan, 0.0, 0.0]), T2)
 
 
 class TestRPFaceMap:
@@ -225,6 +235,8 @@ class TestRPFaceMap:
     def test_rejects_zero(self, T2):
         with pytest.raises(ValueError):
             rp_face_map(np.zeros(2), T2)
+        with pytest.raises(ValueError, match="non-finite"):
+            rp_face_map(np.array([np.nan, 1.0]), T2)
 
 
 class TestExport:

@@ -80,6 +80,14 @@ def test_rejects_bad_distance_matrix():
         rips_barcode(np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("max_value", [float("nan"), -1.0])
+def test_rejects_nan_or_negative_max_value(max_value):
+    D = distances(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for build in (rips_barcode, rips_filtration):
+        with pytest.raises(ValueError, match="max value"):
+            build(D, max_value, 1)
+
+
 def test_reference_rejects_negative_max_dim():
     with pytest.raises(ValueError):
         reference(np.zeros((2, 2)), 1.0, -1)
