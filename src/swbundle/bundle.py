@@ -161,7 +161,10 @@ class LiftedCloud:
                 if A.shape != (m, m):
                     raise ValueError(f"point with A of shape {A.shape}, expected ({m}, {m})")
             elif "v" in p:
-                A = line_projector(np.asarray(p["v"], dtype=float)).P
+                v = np.asarray(p["v"], dtype=float)
+                if v.shape != (m,):
+                    raise ValueError(f"point with v of shape {v.shape}, expected ({m},)")
+                A = line_projector(v).P
             else:
                 raise ValueError("point needs a matrix 'A' or a line direction 'v'")
             xs.append(x)
@@ -193,6 +196,31 @@ def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud
 def rips_index_bound(cloud: LiftedCloud) -> float:
     """Right end of the index interval: tmax_gamma / sqrt(2)."""
     return tmax(cloud.points, 1, cloud.gamma) / SQRT2
+
+
+def checked_index_bound(cloud: LiftedCloud) -> float:
+    """rips_index_bound, or MedialAxisError naming the first point whose
+    eigen-gap is at most GAP_TOLERANCE (it has no line, and it closes the
+    index set).  The gaps are recomputed only on that path."""
+    bound = rips_index_bound(cloud)  # gamma times half the smallest gap
+    if bound <= cloud.gamma * GAP_TOLERANCE / 2.0:
+        _top_eigenvectors(cloud.mats, "point")
+    return bound
+
+
+def _top_eigenvectors(mats: np.ndarray, noun: str) -> np.ndarray:
+    """Top eigenvectors of the symmetric parts of a stack of matrices, or
+    MedialAxisError naming the first (point or vertex) whose eigen-gap is at
+    most GAP_TOLERANCE."""
+    vals, vecs = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
+    gaps = vals[:, 0] - vals[:, 1]
+    bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
+    if bad.size:
+        raise MedialAxisError(
+            f"{noun} {int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
+            "matrix part on the medial axis"
+        )
+    return vecs[:, :, 0]
 
 
 def build_bundle_filtration(cloud: LiftedCloud, max_t: float) -> FilteredComplex:
@@ -243,17 +271,7 @@ def vertex_face_values(K: SimplicialComplex, T: ProjectiveTriangulation) -> dict
     if K.payloads.shape[1] < m * m:
         raise ValueError("payload width too small for the matrix block")
     mats = K.payloads[:, K.payloads.shape[1] - m * m:].reshape(-1, m, m)
-    sym = (mats + mats.transpose(0, 2, 1)) / 2.0
-    vals, vecs = jacobi_eigh_batch(sym)
-    gaps = vals[:, 0] - vals[:, 1]
-    bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
-    if bad.size:
-        raise MedialAxisError(
-            f"vertex {int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
-            "matrix part on the medial axis"
-        )
-    directions = vecs[:, :, 0]
-    simplices = T.face_simplices(directions)
+    simplices = T.face_simplices(_top_eigenvectors(mats, "vertex"))
     return {v: simplices[v] for v in range(len(simplices))}
 
 
@@ -304,15 +322,15 @@ def weak_simplicial_approximation(
     if subdiv_limit < 0:
         raise ValueError(f"subdivision limit must be non-negative, got {subdiv_limit}")
     current = K
-    failing = None
     for k in range(subdiv_limit + 1):
+        if k:
+            current = barycentric_subdivision(current)
         values = vertex_face_values(current, T)
         assignment, failing = weak_star_check(current, values, _pick=_pick)
         if assignment is not None:
             if not is_simplicial_map(assignment, current, T.L):
                 raise RuntimeError("weak star assignment is not simplicial; construction broken")
             return assignment, current, k
-        current = barycentric_subdivision(current)
     raise SubdivisionLimitError(subdiv_limit, failing)
 
 
@@ -335,17 +353,9 @@ class SWResult:
     approximation: dict
 
 
-def _complex_at_scale(
-    cloud: LiftedCloud,
-    scale: float,
-    D: Optional[np.ndarray] = None,
-    payloads: Optional[np.ndarray] = None,
-) -> SimplicialComplex:
-    """The flag graph of the cloud at the scale.  lifebar passes the cloud's
-    distance matrix and payloads, so that it computes them only once."""
-    D = cloud.distance_matrix() if D is None else D
-    payloads = cloud.payloads() if payloads is None else payloads
-    return rips_filtration(D, scale, 1, payloads=payloads).complex
+def _complex_at_scale(cloud: LiftedCloud, scale: float) -> SimplicialComplex:
+    """The flag graph of the cloud at the scale."""
+    return rips_filtration(cloud.distance_matrix(), scale, 1, payloads=cloud.payloads()).complex
 
 
 def sw_class_at(
@@ -364,7 +374,7 @@ def sw_class_at(
     """
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")
-    bound = rips_index_bound(cloud)
+    bound = checked_index_bound(cloud)
     if not 0.0 <= t < bound:
         raise ValueError(f"t = {t:g} outside the index set [0, {bound:g})")
     return _class_on(_complex_at_scale(cloud, SQRT2 * t), t, T, subdiv_limit, _pick)
@@ -442,19 +452,19 @@ def lifebar(
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")
-    bound = rips_index_bound(cloud)
+    bound = checked_index_bound(cloud)
     if bound <= resolution:
         raise ValueError(f"index bound {bound:g} not larger than the resolution")
-    D, payloads = cloud.distance_matrix(), cloud.payloads()
+    hi = bound - resolution
+    # every probe lies in [0, hi], so its flag graph is a subcomplex of this one
+    F = rips_filtration(cloud.distance_matrix(), SQRT2 * hi, 1, payloads=cloud.payloads())
     evals: list[tuple[float, bool, int]] = []
 
     def ev(t: float) -> bool:
-        K = _complex_at_scale(cloud, SQRT2 * t, D, payloads)
-        r = _class_on(K, t, T, subdiv_limit)
+        r = _class_on(F.subcomplex_at(SQRT2 * t), t, T, subdiv_limit)
         evals.append((t, r.nonzero, r.subdivisions_used))
         return r.nonzero
 
-    hi = bound - resolution
     if not ev(hi):
         return Lifebar(bound, None, resolution, tuple(sorted(evals)))
     if ev(0.0):

@@ -16,11 +16,12 @@ import sys
 from pathlib import Path
 
 from . import datasets
-# build_bundle_filtration, rips_filtration and barcode are not called here;
-# they stay importable from this module because bench/spans.py times them.
+# build_bundle_filtration, rips_index_bound, rips_filtration and barcode are not
+# called here; they stay importable from this module for bench/spans.py to time.
 from .bundle import (  # noqa: F401
     SubdivisionLimitError,
     build_bundle_filtration,
+    checked_index_bound,
     lifebar,
     rips_index_bound,
 )
@@ -80,11 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_path(args) -> Path:
-    if args.render_output:
-        return Path(args.render_output)
-    suffix = ".svg" if args.render == "svg" else ".txt"
-    return Path(args.output).with_suffix(suffix)
+def _write_rendering(args, svg, text, *data) -> None:
+    """Write svg(*data) or text(*data) as --render asks (json: nothing)."""
+    if args.render == "json":
+        return
+    render, suffix = (svg, ".svg") if args.render == "svg" else (text, ".txt")
+    path = Path(args.render_output or Path(args.output).with_suffix(suffix))
+    path.write_text(render(*data))
 
 
 def _cmd_generate(args) -> int:
@@ -106,13 +109,10 @@ def _cmd_barcode(args) -> int:
     if args.max_edge is not None and not math.isfinite(args.max_edge):
         raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
     cloud = datasets.load_cloud(args.input)
-    max_edge = args.max_edge if args.max_edge is not None else rips_index_bound(cloud)
+    max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)
     bc = rips_barcode(cloud.distance_matrix(), max_edge, args.max_dim)
     Path(args.output).write_text(bc.to_json() + "\n")
-    if args.render == "svg":
-        _render_path(args).write_text(barcode_svg(bc, max_edge))
-    elif args.render == "text":
-        _render_path(args).write_text(barcode_text(bc, max_edge))
+    _write_rendering(args, barcode_svg, barcode_text, bc, max_edge)
     log.info("wrote %d bars to %s", len(bc.intervals), args.output)
     return 0
 
@@ -122,10 +122,7 @@ def _cmd_lifebar(args) -> int:
     T = triangulate_rp(cloud.m)
     lb = lifebar(cloud, T, resolution=args.resolution, subdiv_limit=args.subdiv_limit)
     Path(args.output).write_text(lb.to_json() + "\n")
-    if args.render == "svg":
-        _render_path(args).write_text(lifebar_svg(lb))
-    elif args.render == "text":
-        _render_path(args).write_text(lifebar_text(lb))
+    _write_rendering(args, lifebar_svg, lifebar_text, lb)
     log.info(
         "lifebar %s on [0, %g)",
         "empty" if lb.empty else f"nonzero from ~{lb.t_dagger:g}",

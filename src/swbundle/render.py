@@ -27,42 +27,18 @@ def _axis_tail(values, t_max):
     return right * 1.02
 
 
-def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
-    """Bars grouped by dimension; open intervals run to the right edge."""
-    bars = sorted(bc.intervals)
-    right = _axis_tail([e for (_, b, e) in bars] + [b for (_, b, e) in bars], t_max)
-    span = _WIDTH - 2 * _MARGIN
-
-    def sx(v: float) -> float:
-        v = min(v, right)
-        return _MARGIN + span * v / right
-
-    height = _MARGIN + _ROW * (len(bars) + 2)
+def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: list) -> str:
+    """An SVG document: the defs, a white background, the body, an axis at
+    axis_y with five ticks over [0, right] placed by sx, then the labels."""
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}">',
+        *defs,
         f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
-    ]
-    y = _ROW
-    for (d, b, e) in bars:
-        color = _DIM_COLORS[d % len(_DIM_COLORS)]
-        x0 = sx(b)
-        x1 = sx(e if e != INF else right)
-        out.append(
-            f'<line x1="{_fmt(x0)}" y1="{y}" x2="{_fmt(max(x1, x0 + 1))}" y2="{y}" '
-            f'stroke="{color}" stroke-width="6"/>'
-        )
-        if e == INF:
-            out.append(
-                f'<text x="{_fmt(x1 + 4)}" y="{y + 4}" font-size="9" '
-                f'font-family="monospace">inf</text>'
-            )
-        y += _ROW
-    axis_y = y + _ROW
-    out.append(
+        *body,
         f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{_WIDTH - _MARGIN}" y2="{axis_y}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+        f'stroke="black" stroke-width="1"/>',
+    ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = right * frac
         x = sx(v)
@@ -74,14 +50,44 @@ def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
             f'<text x="{_fmt(x)}" y="{axis_y + 14}" font-size="9" text-anchor="middle" '
             f'font-family="monospace">{_fmt(v)}</text>'
         )
-    legend = sorted({d for (d, _, _) in bars})
-    for i, d in enumerate(legend):
-        out.append(
-            f'<text x="{_MARGIN + 70 * i}" y="{_ROW // 2 + 2}" font-size="9" '
-            f'font-family="monospace" fill="{_DIM_COLORS[d % len(_DIM_COLORS)]}">H{d}</text>'
-        )
+    out += labels
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
+    """Bars grouped by dimension; open intervals run to the right edge."""
+    bars = sorted(bc.intervals)
+    right = _axis_tail([e for (_, b, e) in bars] + [b for (_, b, e) in bars], t_max)
+    span = _WIDTH - 2 * _MARGIN
+
+    def sx(v: float) -> float:
+        v = min(v, right)
+        return _MARGIN + span * v / right
+
+    height = _MARGIN + _ROW * (len(bars) + 2)
+    body = []
+    y = _ROW
+    for (d, b, e) in bars:
+        color = _DIM_COLORS[d % len(_DIM_COLORS)]
+        x0 = sx(b)
+        x1 = sx(e if e != INF else right)
+        body.append(
+            f'<line x1="{_fmt(x0)}" y1="{y}" x2="{_fmt(max(x1, x0 + 1))}" y2="{y}" '
+            f'stroke="{color}" stroke-width="6"/>'
+        )
+        if e == INF:
+            body.append(
+                f'<text x="{_fmt(x1 + 4)}" y="{y + 4}" font-size="9" '
+                f'font-family="monospace">inf</text>'
+            )
+        y += _ROW
+    legend = [
+        f'<text x="{_MARGIN + 70 * i}" y="{_ROW // 2 + 2}" font-size="9" '
+        f'font-family="monospace" fill="{_DIM_COLORS[d % len(_DIM_COLORS)]}">H{d}</text>'
+        for i, d in enumerate(sorted({d for (d, _, _) in bars}))
+    ]
+    return _svg(height, (), body, y + _ROW, right, sx, legend)
 
 
 def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
@@ -112,47 +118,29 @@ def lifebar_svg(lb: Lifebar) -> str:
         return _MARGIN + span * v / lb.t_max
 
     cut = lb.t_max if lb.empty else lb.t_dagger
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
-        f'viewBox="0 0 {_WIDTH} {height}">',
+    defs = (
         "<defs>",
         '<pattern id="hatch" width="6" height="6" patternTransform="rotate(45)" '
         'patternUnits="userSpaceOnUse">'
         '<line x1="0" y1="0" x2="0" y2="6" stroke="#555" stroke-width="1.5"/>'
         "</pattern>",
         "</defs>",
-        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
+    )
+    body = [
         f'<rect x="{_fmt(sx(0.0))}" y="16" width="{_fmt(sx(cut) - sx(0.0))}" height="16" '
         f'fill="url(#hatch)" stroke="#555" stroke-width="0.5"/>',
     ]
     if not lb.empty:
-        out.append(
+        body.append(
             f'<rect x="{_fmt(sx(cut))}" y="16" width="{_fmt(sx(lb.t_max) - sx(cut))}" '
             f'height="16" fill="#1a1a1a"/>'
         )
-    axis_y = 48
-    out.append(
-        f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{_WIDTH - _MARGIN}" y2="{axis_y}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = lb.t_max * frac
-        x = sx(v)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{axis_y}" x2="{_fmt(x)}" y2="{axis_y + 4}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{axis_y + 14}" font-size="9" text-anchor="middle" '
-            f'font-family="monospace">{_fmt(v)}</text>'
-        )
     caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"
-    out.append(
+    label = (
         f'<text x="{_MARGIN}" y="10" font-size="10" font-family="monospace">'
         f"lifebar: {caption} (resolution {_fmt(lb.resolution)})</text>"
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(height, defs, body, 48, lb.t_max, sx, [label])
 
 
 def lifebar_text(lb: Lifebar) -> str:

@@ -400,36 +400,37 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """One barycentric subdivision of a complex of dimension <= 2.
 
     New vertices are the simplices of K; new simplices are the chains of
-    strict inclusions.  Vertex ids are re-indexed to 0..V-1 in sorted order
-    of the underlying simplex tuples (recorded in ``vertex_names``), and a
-    new vertex's payload is the mean of its simplex's vertex payloads.
+    strict inclusions.  A new vertex's id is its simplex's position in
+    (dimension, lexicographic) order, recorded in ``vertex_names``, so every
+    chain is already ascending; its payload is the mean of its simplex's
+    vertex payloads.
     """
     if K.dim > 2:
         raise ValueError("subdivision implemented for complexes of dimension <= 2")
     names = [s for d in sorted(K.simplices) for s in K.simplices[d]]
-    names.sort(key=lambda s: (len(s), s))
     index = {s: i for i, s in enumerate(names)}
 
     simplices: list[tuple] = [(i,) for i in range(len(names))]
     for (a, b) in K.simplices.get(1, ()):
         e = index[(a, b)]
-        simplices.append(tuple(sorted((index[(a,)], e))))
-        simplices.append(tuple(sorted((index[(b,)], e))))
+        simplices.append((index[(a,)], e))
+        simplices.append((index[(b,)], e))
     for tri in K.simplices.get(2, ()):
         t = index[tri]
         tri_edges = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
         for v in tri:
-            simplices.append(tuple(sorted((index[(v,)], t))))
+            simplices.append((index[(v,)], t))
         for e in tri_edges:
-            simplices.append(tuple(sorted((index[e], t))))
+            simplices.append((index[e], t))
             for v in e:
-                simplices.append(tuple(sorted((index[(v,)], index[e], t))))
+                simplices.append((index[(v,)], index[e], t))
 
     payloads = None
     if K.payloads is not None:
-        payloads = np.empty((len(names), K.payloads.shape[1]), dtype=float)
-        for s, i in index.items():
-            payloads[i] = K.payloads[list(s)].mean(axis=0)
+        # the leading empty block keeps the (0, k) shape of an empty complex
+        payloads = np.concatenate([K.payloads[:0]] + [
+            K.payloads[np.array(K.simplices[d])].mean(axis=1) for d in sorted(K.simplices)
+        ])
     return SimplicialComplex(simplices, payloads=payloads, vertex_names=names, _trusted=True)
 
 

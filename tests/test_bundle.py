@@ -8,6 +8,7 @@ from swbundle.bundle import (
     LiftedCloud,
     SubdivisionLimitError,
     build_bundle_filtration,
+    checked_index_bound,
     hausdorff_distance,
     lifebar,
     lift_cloud,
@@ -28,6 +29,7 @@ from swbundle.grassmann import MedialAxisError, gamma_dist
 from swbundle.projective import rp_face_map, triangulate_rp
 from swbundle.simplicial import (
     SimplicialComplex,
+    barycentric_subdivision,
     is_simplicial_map,
     pullback_cochain,
     rips_filtration,
@@ -240,6 +242,48 @@ class TestWeakStar:
         with pytest.raises(SubdivisionLimitError):
             weak_simplicial_approximation(K, T2, subdiv_limit=0)
 
+    def test_refusal_at_limit_0_subdivides_nothing(self, T2, monkeypatch):
+        import swbundle.bundle as bundle
+        from swbundle.grassmann import line_projector
+
+        # the graph of test_subdivision_limit
+        d0 = T2.vertex_embeddings[0] @ T2._basis
+        d_mid = (T2.vertex_embeddings[1] - T2.vertex_embeddings[2]) @ T2._basis
+        mats = np.array([line_projector(d0).P, line_projector(d_mid).P])
+        K = SimplicialComplex(
+            [(0, 1)],
+            payloads=np.concatenate([np.zeros((2, 2)), mats.reshape(2, -1)], axis=1),
+        )
+        built = []
+        monkeypatch.setattr(bundle, "barycentric_subdivision",
+                            lambda K: built.append(K) or barycentric_subdivision(K))
+        with pytest.raises(SubdivisionLimitError):
+            weak_simplicial_approximation(K, T2, subdiv_limit=0)
+        assert built == []
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_subdivides_only_before_a_check(self, T2, monkeypatch, limit):
+        import swbundle.bundle as bundle
+        from swbundle.grassmann import line_projector
+
+        # one edge between lines 60 degrees apart: two subdivisions are needed
+        a = math.radians(60.0)
+        mats = np.array([line_projector([1.0, 0.0]).P,
+                         line_projector([math.cos(a), math.sin(a)]).P])
+        K = SimplicialComplex(
+            [(0, 1)],
+            payloads=np.concatenate([np.zeros((2, 1)), mats.reshape(2, -1)], axis=1),
+        )
+        built = []
+        monkeypatch.setattr(bundle, "barycentric_subdivision",
+                            lambda K: built.append(K) or barycentric_subdivision(K))
+        if limit < 2:
+            with pytest.raises(SubdivisionLimitError):
+                weak_simplicial_approximation(K, T2, subdiv_limit=limit)
+        else:
+            assert weak_simplicial_approximation(K, T2, subdiv_limit=limit)[2] == 2
+        assert len(built) == min(limit, 2)
+
     def test_negative_limit_refused(self, T2):
         K = build_bundle_filtration(circle_tautological(20, 1.0), 0.3).complex
         with pytest.raises(ValueError, match="subdivision limit must be non-negative"):
@@ -344,6 +388,21 @@ class TestLifebar:
         assert lb == expected and len(lb.evaluations) > 2
         assert calls == {"tmax": 1, "distance_matrix": 1, "payloads": 1}
 
+    @pytest.mark.parametrize("make", [
+        lambda: circle_tautological(40, 1.0),
+        lambda: circle_normal(60, 2.0),
+        lambda: add_noise(klein_normal(8, 8), 0.03, 1),
+    ], ids=["mobius-40", "circle-normal-60-gamma-2", "klein-8-noisy"])
+    def test_evaluations_match_sw_class_at(self, make):
+        # each probe's graph is cut from one filtration at the top probe; a
+        # standalone evaluation builds its own graph at that index
+        cloud = make()
+        T = triangulate_rp(cloud.m)
+        lb = lifebar(cloud, T)
+        for t, nonzero, k in lb.evaluations:
+            r = sw_class_at(cloud, t, T)
+            assert (r.nonzero, r.subdivisions_used) == (nonzero, k), f"t = {t:g}"
+
     def test_mismatched_triangulation(self, T2):
         with pytest.raises(ValueError):
             lifebar(klein_normal(6, 6), T2)
@@ -358,6 +417,32 @@ class TestLifebar:
         assert time.perf_counter() - start < 60.0
         assert not lb.empty
         assert lb.t_dagger < 0.33510 <= lb.t_dagger + lb.resolution
+
+
+def _medial_cloud(gaps):
+    """One point per eigen-gap g, with matrix diag((1 + g) / 2, (1 - g) / 2):
+    g = 1 is a projector, g = 0 is I/2."""
+    mats = np.array([np.diag([(1.0 + g) / 2.0, (1.0 - g) / 2.0]) for g in gaps])
+    return LiftedCloud(np.arange(float(len(gaps)))[:, None], mats, 1.0)
+
+
+class TestMedialAxisCloud:
+    def test_lifebar_refused(self, T2):
+        with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 0.000e"):
+            lifebar(_medial_cloud([1.0, 0.0, 1.0]), T2)
+
+    def test_sw_class_at_refused(self, T2):
+        with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 0.000e"):
+            sw_class_at(_medial_cloud([1.0, 0.0, 1.0]), 0.0, T2)
+
+    def test_first_point_within_tolerance_named(self):
+        # point 1 is within GAP_TOLERANCE, point 2 exactly on the axis
+        with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 5.000e-10"):
+            checked_index_bound(_medial_cloud([1.0, 5e-10, 0.0]))
+
+    def test_gap_above_tolerance_accepted(self):
+        cloud = _medial_cloud([1.0, 1e-6])
+        assert checked_index_bound(cloud) == rips_index_bound(cloud) > 0.0
 
 
 def _non_projector(cloud, seed):

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from swbundle.bundle import Lifebar
 from swbundle.cli import main
-from swbundle.render import barcode_text, lifebar_svg, lifebar_text
+from swbundle.render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 from swbundle.z2 import INF, Barcode
 
 
@@ -153,6 +154,14 @@ def _corrupt(obj, where):
         obj["points"][3]["x"][0] = float("nan")
     elif where == "A":
         obj["points"][5]["A"][1][1] = float("inf")
+    elif where == "v":  # directions in R^3 under a header with m = 2
+        for p in obj["points"]:
+            p["v"] = [1.0, 0.0, 1.0]
+            del p["A"]
+    elif where == "v mixed":
+        for i, p in enumerate(obj["points"]):
+            p["v"] = [1.0, 0.0, 1.0] if i == 4 else [1.0, 0.0]
+            del p["A"]
     else:
         obj["gamma"] = float("nan")
 
@@ -162,6 +171,8 @@ def _corrupt(obj, where):
     ("x", "non-finite base coordinate"),
     ("A", "non-finite matrix entry"),
     ("gamma", "gamma must be positive and finite"),
+    ("v", "point with v of shape (3,), expected (2,)"),
+    ("v mixed", "point with v of shape (3,), expected (2,)"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"
@@ -175,7 +186,46 @@ def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     assert not out.exists()
 
 
+# point 1 carries I/2, whose eigen-gap is zero: it has no line
+MEDIAL_AXIS_CLOUD = {"n": 1, "m": 2, "gamma": 1.0, "points": [
+    {"x": [0.0], "A": [[1.0, 0.0], [0.0, 0.0]]},
+    {"x": [1.0], "A": [[0.5, 0.0], [0.0, 0.5]]},
+    {"x": [2.0], "A": [[0.0, 0.0], [0.0, 1.0]]},
+]}
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_medial_axis_cloud_exits_2(tmp_path, capsys, command):
+    cloud = tmp_path / "c.json"
+    cloud.write_text(json.dumps(MEDIAL_AXIS_CLOUD))
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    assert "point 1 has eigen-gap 0.000e+00" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_medial_axis_cloud_barcode_with_max_edge(tmp_path):
+    # plain persistence needs no projection: an explicit bound is accepted
+    cloud = tmp_path / "c.json"
+    cloud.write_text(json.dumps(MEDIAL_AXIS_CLOUD))
+    out = tmp_path / "out.json"
+    assert run("barcode", "--input", str(cloud), "--max-edge", "1.0", "--output", str(out)) == 0
+    assert len(Barcode.from_json(out.read_text()).intervals) == 3
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
 class TestRenderers:
+    @pytest.mark.parametrize("name, render", [
+        ("barcode.svg", lambda: barcode_svg(
+            Barcode(((0, 0.0, INF), (0, 0.0, 0.3), (1, 0.25, 0.75), (1, 0.5, INF))), 1.0)),
+        ("lifebar.svg", lambda: lifebar_svg(Lifebar(0.5, 0.25, 0.02, ()))),
+        ("lifebar_empty.svg", lambda: lifebar_svg(Lifebar(0.5, None, 0.02, ()))),
+    ])
+    def test_svg_golden(self, name, render):
+        assert render() == (GOLDEN / name).read_text()
+
     def test_text_barcode_is_80_columns(self):
         bc = Barcode(((0, 0.0, INF), (1, 0.25, 0.75)))
         text = barcode_text(bc, 1.0)

@@ -148,6 +148,26 @@ class TestSubdivision:
         j = S.vertex_names.index((0, 1))
         assert np.allclose(S.payloads[j], [0.5, 0.0])
 
+    def test_payload_barycenters_random(self, rng):
+        # ids by position: each new simplex is an ascending chain of names,
+        # and each payload is exactly the mean over its simplex
+        for _ in range(5):
+            K = random_complex(rng, n_vertices=8, p_edge=0.6)
+            K = SimplicialComplex(K.to_json_obj(), payloads=rng.normal(size=(8, 3)))
+            assert K.dim == 2
+            S = barycentric_subdivision(K)
+            for i, name in enumerate(S.vertex_names):
+                assert np.array_equal(S.payloads[i], K.payloads[list(name)].mean(axis=0))
+            for simplices in S.simplices.values():
+                for s in simplices:
+                    assert list(s) == sorted(set(s))
+                    chain = [set(S.vertex_names[v]) for v in s]
+                    assert all(a < b for a, b in zip(chain, chain[1:]))
+
+    def test_empty_complex_with_payloads(self):
+        S = barycentric_subdivision(SimplicialComplex([], payloads=np.zeros((0, 3))))
+        assert S.n_simplices() == 0 and S.payloads.shape == (0, 3)
+
     def test_rejects_high_dimension(self):
         with pytest.raises(ValueError):
             barycentric_subdivision(SimplicialComplex([(0, 1, 2, 3)]))
