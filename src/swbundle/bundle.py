@@ -2,10 +2,11 @@
 
 A lifted cloud lives in R^n x M(R^m) with the gamma-weighted product norm.
 Its flag-complex filtration carries projection maps to G_1(R^m) wherever the
-matrix parts stay off the medial axis; the first persistent class of that
-bundle is decided, scale by scale, by approximating the projection with a
-weak simplicial approximation into the projective triangulation and testing
-whether the pulled-back generator is a coboundary.
+matrix parts stay off the medial axis.  sw_class_at, the paper's reference
+decider, approximates the projection with a weak simplicial approximation
+into the projective triangulation and tests whether the pulled-back
+generator is a coboundary; lifebar reads the first persistent class off one
+parity sweep of certified edge signs.
 
 Class decisions run on the flag graph (the 1-skeleton of the flag complex):
 the relative group H^1(K, K^1; Z/2) vanishes, so restricting to the graph is
@@ -40,6 +41,7 @@ from .projective import ProjectiveTriangulation
 from .simplicial import (
     SimplicialComplex,
     FilteredComplex,
+    _flag_edges,
     barycentric_subdivision,
     is_simplicial_map,
     pullback_cochain,
@@ -51,10 +53,9 @@ from .z2 import CochainZ2, is_cocycle, is_coboundary  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 
-WEAK_APPROXIMATION_CAVEAT = (
-    "class decisions rely on weak simplicial approximations, which are certified "
-    "combinatorially, not homotopically; results at scales where the complex is "
-    "very coarse should be read with care"
+LIFEBAR_CAVEAT = (
+    "t_dagger is exact: the largest index with a zero class, from a parity sweep of edge "
+    "flips certified by the eigen-gaps; resolution and the subdivision limit steer nothing"
 )
 
 
@@ -367,27 +368,18 @@ def sw_class_at(
 ) -> SWResult:
     """Decide whether the first persistent class is nonzero at index t.
 
-    Builds the flag graph at scale sqrt(2) * t, finds a weak simplicial
-    approximation of the Grassmannian projection into T, pulls the
-    generator back, and tests it for being a coboundary.  H^1 of the flag
-    complex injects into H^1 of its graph, so the graph decides the class.
+    The paper's reference decider: builds the flag graph at scale
+    sqrt(2) * t, finds a weak simplicial approximation of the Grassmannian
+    projection into T, pulls the generator back, and tests it for being a
+    coboundary.  H^1 of the flag complex injects into H^1 of its graph, so
+    the graph decides the class.
     """
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")
     bound = checked_index_bound(cloud)
     if not 0.0 <= t < bound:
         raise ValueError(f"t = {t:g} outside the index set [0, {bound:g})")
-    return _class_on(_complex_at_scale(cloud, SQRT2 * t), t, T, subdiv_limit, _pick)
-
-
-def _class_on(
-    K: SimplicialComplex,
-    t: float,
-    T: ProjectiveTriangulation,
-    subdiv_limit: int,
-    _pick: str = "min",
-) -> SWResult:
-    """The class at index t, decided on K, the flag graph at scale sqrt(2) * t."""
+    K = _complex_at_scale(cloud, SQRT2 * t)
     try:
         f, Kp, k = weak_simplicial_approximation(K, T, subdiv_limit, _pick=_pick)
     except SubdivisionLimitError as err:
@@ -405,11 +397,11 @@ def _class_on(
 
 @dataclass(frozen=True)
 class Lifebar:
-    """The interval of indices where the class is nonzero, up to resolution.
+    """The interval of indices where the class is nonzero.
 
-    t_dagger is None for an empty lifebar; otherwise it is the largest
-    evaluated index with a zero class, so the true infimum lies within
-    resolution above it.
+    t_dagger is None for an empty lifebar, else the largest index (a double)
+    with a zero class: the class is nonzero from the next double to t_max.
+    evaluations (empty) and resolution (unused) stay for the JSON schema.
     """
 
     t_max: float
@@ -429,51 +421,67 @@ class Lifebar:
             "evaluations": [
                 {"t": t, "nonzero": nz, "subdivisions": k} for (t, nz, k) in self.evaluations
             ],
-            "caveat": WEAK_APPROXIMATION_CAVEAT,
+            "caveat": LIFEBAR_CAVEAT,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
 
-def lifebar(
-    cloud: LiftedCloud,
-    T: ProjectiveTriangulation,
-    resolution: float = 0.02,
-    subdiv_limit: int = 4,
-) -> Lifebar:
-    """Bisection estimate of the infimum index where the class turns nonzero.
+def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
+    """The exact onset of the first persistent class, from a parity sweep.
 
-    Evaluates at 0 and at the right end of the index set; if the class is
-    zero there the lifebar is empty, otherwise the zero/nonzero boundary is
-    bisected until the bracket is narrower than the resolution.
+    The class at index t is nonzero iff the flag graph at scale sqrt(2) * t
+    has a cycle with an odd number of edges along which the fiber line
+    flips.  The edges below scale sqrt(2) * t_max enter a parity union-find
+    in filtration order.  If the edge of value v first closes an odd cycle,
+    the class turns nonzero at t*, the smallest double with SQRT2 * t* >= v,
+    and t_dagger = nextafter(t*, 0).  resolution is validated, not used.
+
+    Edge ij flips iff (u_i . m_ij)(m_ij . u_j) < 0, with u_i the top
+    eigenvector of sym(A_i) and m_ij that of sym((A_i + A_j) / 2).  This
+    holds for any matrix payload.  Below the bound, |A_i - A_j|_F < sqrt(2) g
+    for every point's eigen-gap g, so each half of the segment stays within
+    g / sqrt(2) of its endpoint.  At B = A_i + E there, a top eigenvector w
+    of sym(B) orthogonal to u_i would need w'Ew - u_i'Eu_i >= g, but that
+    difference is at most sqrt(2) |E|_F < g.  So the top line of each half
+    is simple and never orthogonal to its endpoint's, and the two signs give
+    the fiber's transport.  A midpoint within GAP_TOLERANCE of the medial
+    axis raises MedialAxisError.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    if T.m != cloud.m:
-        raise ValueError("triangulation ambient dimension does not match the cloud")
     bound = checked_index_bound(cloud)
-    if bound <= resolution:
-        raise ValueError(f"index bound {bound:g} not larger than the resolution")
-    hi = bound - resolution
-    # every probe lies in [0, hi], so its flag graph is a subcomplex of this one
-    F = rips_filtration(cloud.distance_matrix(), SQRT2 * hi, 1, payloads=cloud.payloads())
-    evals: list[tuple[float, bool, int]] = []
+    below = math.nextafter(SQRT2 * bound, 0.0)
+    n, iu, ju, values = _flag_edges(cloud.distance_matrix(), below)
+    order = np.argsort(values, kind="stable")  # filtration order (value, i, j)
+    iu, ju, values = iu[order], ju[order], values[order].tolist()
+    u = _top_eigenvectors(cloud.mats, "point")
+    mid = _top_eigenvectors((cloud.mats[iu] + cloud.mats[ju]) / 2.0, "edge midpoint")
+    flips = np.einsum("ij,ij->i", u[iu], mid) * np.einsum("ij,ij->i", mid, u[ju]) < 0.0
+    parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
 
-    def ev(t: float) -> bool:
-        r = _class_on(F.subcomplex_at(SQRT2 * t), t, T, subdiv_limit)
-        evals.append((t, r.nonzero, r.subdivisions_used))
-        return r.nonzero
+    def find(a: int):
+        odd = 0
+        while parent[a] != a:  # path halving
+            p = parent[a]
+            parity[a] ^= parity[p]
+            parent[a] = parent[p]
+            odd ^= parity[a]
+            a = parent[a]
+        return a, odd
 
-    if not ev(hi):
-        return Lifebar(bound, None, resolution, tuple(sorted(evals)))
-    if ev(0.0):
-        return Lifebar(bound, 0.0, resolution, tuple(sorted(evals)))
-    lo, nz = 0.0, hi
-    while nz - lo > resolution:
-        mid = (lo + nz) / 2.0
-        if ev(mid):
-            nz = mid
-        else:
-            lo = mid
-    return Lifebar(bound, lo, resolution, tuple(sorted(evals)))
+    for i, j, flip, value in zip(iu.tolist(), ju.tolist(), flips.tolist(), values):
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri != rj:
+            parent[ri], parity[ri] = rj, pi ^ pj ^ flip
+        elif pi ^ pj ^ flip:
+            t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
+            while SQRT2 * t_star < value:
+                t_star = math.nextafter(t_star, math.inf)
+            while t_star > 0.0 and SQRT2 * math.nextafter(t_star, 0.0) >= value:
+                t_star = math.nextafter(t_star, 0.0)
+            # t_star can round up to the bound itself, outside the index set
+            t_dagger = math.nextafter(t_star, 0.0) if t_star < bound else None
+            return Lifebar(bound, t_dagger, resolution)
+    return Lifebar(bound, None, resolution)

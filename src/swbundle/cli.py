@@ -1,7 +1,6 @@
 """Command line front end: generate clouds, compute barcodes, compute lifebars.
 
-Exit codes: 0 on success, 2 on bad input, 3 when the weak star condition did
-not converge within the subdivision cap.  Verbosity comes from the
+Exit codes: 0 on success, 2 on bad input.  Verbosity comes from the
 SWBUNDLE_LOG environment variable (debug / info / warning).
 """
 
@@ -16,16 +15,15 @@ import sys
 from pathlib import Path
 
 from . import datasets
-# build_bundle_filtration, rips_index_bound, rips_filtration and barcode are not
-# called here; they stay importable from this module for bench/spans.py to time.
+# build_bundle_filtration, rips_index_bound, triangulate_rp, rips_filtration and barcode
+# are not called here; they stay importable from this module for bench/spans.py to time.
 from .bundle import (  # noqa: F401
-    SubdivisionLimitError,
     build_bundle_filtration,
     checked_index_bound,
     lifebar,
     rips_index_bound,
 )
-from .projective import triangulate_rp
+from .projective import triangulate_rp  # noqa: F401
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 from .simplicial import rips_barcode, rips_filtration  # noqa: F401
 from .z2 import barcode  # noqa: F401
@@ -33,7 +31,6 @@ from .z2 import barcode  # noqa: F401
 log = logging.getLogger("swbundle")
 
 EXIT_BAD_INPUT = 2
-EXIT_SUBDIVISION_LIMIT = 3
 
 _DATASET_ALIASES = {
     "circle-normal": "circle_normal",
@@ -118,16 +115,14 @@ def _cmd_barcode(args) -> int:
 
 
 def _cmd_lifebar(args) -> int:
+    if args.subdiv_limit < 0:  # kept in the interface; the sweep needs no subdivision
+        raise ValueError(f"subdivision limit must be non-negative, got {args.subdiv_limit}")
     cloud = datasets.load_cloud(args.input)
-    T = triangulate_rp(cloud.m)
-    lb = lifebar(cloud, T, resolution=args.resolution, subdiv_limit=args.subdiv_limit)
+    lb = lifebar(cloud, resolution=args.resolution)
     Path(args.output).write_text(lb.to_json() + "\n")
     _write_rendering(args, lifebar_svg, lifebar_text, lb)
-    log.info(
-        "lifebar %s on [0, %g)",
-        "empty" if lb.empty else f"nonzero from ~{lb.t_dagger:g}",
-        lb.t_max,
-    )
+    state = "empty" if lb.empty else f"nonzero after {lb.t_dagger!r}"
+    log.info("lifebar %s on [0, %g)", state, lb.t_max)
     return 0
 
 
@@ -141,9 +136,6 @@ def main(argv=None) -> int:
         if args.command == "barcode":
             return _cmd_barcode(args)
         return _cmd_lifebar(args)
-    except SubdivisionLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SUBDIVISION_LIMIT
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -39,8 +39,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {_KINDS}")
         if self.count < 3 or (self.count2 is not None and self.count2 < 3):
             raise ValueError("counts must be at least 3")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
 
 
 def generate(spec: GeneratorSpec) -> LiftedCloud:
@@ -144,8 +144,8 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
     perturbed and sent back through the rank-1 projector.  Deterministic for
     a fixed seed.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return cloud
     rng = np.random.default_rng(seed)

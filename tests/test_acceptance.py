@@ -106,7 +106,7 @@ def test_criterion_3_projective_triangulations(T2, T3):
 
 def test_criterion_4_mobius_lifebar(T2):
     cloud = circle_tautological(60, 1.0)
-    lb = lifebar(cloud, T2, resolution=0.02)
+    lb = lifebar(cloud, resolution=0.02)
     assert not lb.empty
     assert lb.t_dagger <= 0.05
     assert sw_class_at(cloud, 0.3, T2).nonzero
@@ -115,13 +115,13 @@ def test_criterion_4_mobius_lifebar(T2):
 
 
 def test_criterion_5_circle_normal_lifebars(T2):
-    lb1 = lifebar(circle_normal(60, 1.0), T2, resolution=0.02)
+    lb1 = lifebar(circle_normal(60, 1.0), resolution=0.02)
     assert lb1.empty
     cloud2 = circle_normal(60, 2.0)
     # grid oracle around the expected flip before trusting the bisection
     for t, expected in [(0.6, False), (0.65, False), (0.75, True), (0.9, True)]:
         assert sw_class_at(cloud2, t, T2).nonzero == expected
-    lb2 = lifebar(cloud2, T2, resolution=0.02)
+    lb2 = lifebar(cloud2, resolution=0.02)
     assert lb2.t_dagger == pytest.approx(1.0 / SQRT2, abs=0.08)
     _report(5, f"gamma=1 lifebar empty on [0, 0.5); gamma=2 starts at "
                f"{lb2.t_dagger:.3f} = 1/sqrt(2) +- 0.08")
@@ -138,15 +138,15 @@ def test_criterion_6_mobius_h1_death():
                f"in [{lo:.3f}, {hi:.3f}]")
 
 
-def test_criterion_7_stability_under_jitter(T2):
+def test_criterion_7_stability_under_jitter():
     clean = circle_tautological(60, 1.0)
     resolution = 0.02
-    lb_clean = lifebar(clean, T2, resolution=resolution)
+    lb_clean = lifebar(clean, resolution=resolution)
     worst = 0.0
     for seed in range(10):
         noisy = add_noise(clean, 0.03, seed)
         eps = hausdorff_distance(clean, noisy)
-        lb_noisy = lifebar(noisy, T2, resolution=resolution)
+        lb_noisy = lifebar(noisy, resolution=resolution)
         t_noisy = lb_noisy.t_dagger if not lb_noisy.empty else lb_noisy.t_max
         shift = abs(t_noisy - lb_clean.t_dagger)
         assert shift <= eps + 2 * resolution
@@ -155,10 +155,10 @@ def test_criterion_7_stability_under_jitter(T2):
                f"within Hausdorff + 2 resolution")
 
 
-def test_criterion_8_orientability_discrimination(T3):
-    lb_torus = lifebar(torus_normal(12, 12, 1.0), T3, resolution=0.02)
+def test_criterion_8_orientability_discrimination():
+    lb_torus = lifebar(torus_normal(12, 12, 1.0), resolution=0.02)
     assert lb_torus.empty
-    lb_klein = lifebar(klein_normal(16, 16, 1.0), T3, resolution=0.02)
+    lb_klein = lifebar(klein_normal(16, 16, 1.0), resolution=0.02)
     assert not lb_klein.empty
     _report(8, f"torus lifebar empty; Klein lifebar nonzero from {lb_klein.t_dagger:.3f}")
 

@@ -36,6 +36,8 @@ from swbundle.simplicial import (
 )
 from swbundle.z2 import INF, barcode, is_coboundary, is_cocycle
 
+from test_sign_transport import TIE, sign_onset
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -334,40 +336,40 @@ class TestClassEvaluation:
 
 
 class TestLifebar:
-    def test_mobius(self, T2):
-        lb = lifebar(circle_tautological(60, 1.0), T2, resolution=0.02)
+    def test_mobius(self):
+        lb = lifebar(circle_tautological(60, 1.0), resolution=0.02)
         assert not lb.empty
         assert lb.t_dagger <= 0.05
         assert lb.t_max == pytest.approx(0.5)
 
-    def test_circle_normal_small_gamma_empty(self, T2):
-        lb = lifebar(circle_normal(60, 0.5), T2, resolution=0.02)
+    def test_circle_normal_small_gamma_empty(self):
+        lb = lifebar(circle_normal(60, 0.5), resolution=0.02)
         assert lb.empty
 
-    def test_circle_normal_gamma_two(self, T2):
-        lb = lifebar(circle_normal(60, 2.0), T2, resolution=0.02)
+    def test_circle_normal_gamma_two(self):
+        lb = lifebar(circle_normal(60, 2.0), resolution=0.02)
         assert lb.t_dagger == pytest.approx(1.0 / SQRT2, abs=0.08)
 
-    def test_bracket_invariant(self, T2):
-        lb = lifebar(circle_tautological(60, 1.0), T2, resolution=0.02)
+    def test_bracket_invariant(self):
+        lb = lifebar(circle_tautological(60, 1.0), resolution=0.02)
         for t, nonzero, _ in lb.evaluations:
             if t > lb.t_dagger:
                 assert nonzero
             elif t < lb.t_dagger:
                 assert not nonzero
 
-    def test_json_schema(self, T2):
-        lb = lifebar(circle_tautological(30, 1.0), T2, resolution=0.05)
+    def test_json_schema(self):
+        lb = lifebar(circle_tautological(30, 1.0), resolution=0.05)
         obj = lb.to_json_obj()
         assert set(obj) == {"t_max", "t_dagger", "resolution", "evaluations", "caveat"}
         assert all(set(e) == {"t", "nonzero", "subdivisions"} for e in obj["evaluations"])
 
-    def test_bad_resolution(self, T2):
+    def test_bad_resolution(self):
         for resolution in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="resolution must be positive and finite"):
-                lifebar(circle_tautological(30, 1.0), T2, resolution=resolution)
+                lifebar(circle_tautological(30, 1.0), resolution=resolution)
 
-    def test_cloud_data_computed_once(self, T2, monkeypatch):
+    def test_cloud_data_computed_once(self, monkeypatch):
         import swbundle.bundle as bundle
 
         calls = {"tmax": 0, "distance_matrix": 0, "payloads": 0}
@@ -382,11 +384,11 @@ class TestLifebar:
         for name in ("distance_matrix", "payloads"):
             monkeypatch.setattr(LiftedCloud, name, counted(name, getattr(LiftedCloud, name)))
         cloud = circle_tautological(40, 1.0)
-        expected = lifebar(circle_tautological(40, 1.0), T2, resolution=0.05)
+        expected = lifebar(circle_tautological(40, 1.0), resolution=0.05)
         calls.update(tmax=0, distance_matrix=0, payloads=0)
-        lb = lifebar(cloud, T2, resolution=0.05)
-        assert lb == expected and len(lb.evaluations) > 2
-        assert calls == {"tmax": 1, "distance_matrix": 1, "payloads": 1}
+        lb = lifebar(cloud, resolution=0.05)
+        assert lb == expected
+        assert calls == {"tmax": 1, "distance_matrix": 1, "payloads": 0}
 
     @pytest.mark.parametrize("make", [
         lambda: circle_tautological(40, 1.0),
@@ -394,18 +396,26 @@ class TestLifebar:
         lambda: add_noise(klein_normal(8, 8), 0.03, 1),
     ], ids=["mobius-40", "circle-normal-60-gamma-2", "klein-8-noisy"])
     def test_evaluations_match_sw_class_at(self, make):
-        # each probe's graph is cut from one filtration at the top probe; a
-        # standalone evaluation builds its own graph at that index
+        # the paper's pipeline, on the graph it builds at each index, finds
+        # the class nonzero at the sweep's onset t* and zero just below it
+        # (zero at the last index below t_max for an empty lifebar)
         cloud = make()
         T = triangulate_rp(cloud.m)
-        lb = lifebar(cloud, T)
-        for t, nonzero, k in lb.evaluations:
-            r = sw_class_at(cloud, t, T)
-            assert (r.nonzero, r.subdivisions_used) == (nonzero, k), f"t = {t:g}"
+        lb = lifebar(cloud)
+        if lb.empty:
+            assert not sw_class_at(cloud, math.nextafter(lb.t_max, 0.0), T).nonzero
+        else:
+            assert sw_class_at(cloud, math.nextafter(lb.t_dagger, math.inf), T).nonzero
+            assert not sw_class_at(cloud, lb.t_dagger, T).nonzero
 
-    def test_mismatched_triangulation(self, T2):
-        with pytest.raises(ValueError):
-            lifebar(klein_normal(6, 6), T2)
+    def test_onset_next_to_the_bound(self):
+        # the onset lies within one resolution of t_max = 0.25
+        cloud = circle_tautological(10, gamma=0.5)
+        lb = lifebar(cloud)
+        t_star = sign_onset(cloud)
+        assert t_star == pytest.approx(0.2317627, abs=1e-7)
+        assert not lb.empty
+        assert lb.t_dagger - TIE < t_star <= lb.t_dagger + lb.resolution
 
     def test_noisy_klein_default_limit(self):
         # this cloud used to run for minutes and gigabytes on the 2-complex
@@ -413,7 +423,7 @@ class TestLifebar:
         # (parity union-find over sign flips on the flag graph) is 0.33510
         cloud = add_noise(klein_normal(16, 16), 0.05, 0)
         start = time.perf_counter()
-        lb = lifebar(cloud, triangulate_rp(3))
+        lb = lifebar(cloud)
         assert time.perf_counter() - start < 60.0
         assert not lb.empty
         assert lb.t_dagger < 0.33510 <= lb.t_dagger + lb.resolution
@@ -427,9 +437,9 @@ def _medial_cloud(gaps):
 
 
 class TestMedialAxisCloud:
-    def test_lifebar_refused(self, T2):
+    def test_lifebar_refused(self):
         with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 0.000e"):
-            lifebar(_medial_cloud([1.0, 0.0, 1.0]), T2)
+            lifebar(_medial_cloud([1.0, 0.0, 1.0]))
 
     def test_sw_class_at_refused(self, T2):
         with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 0.000e"):
@@ -445,11 +455,11 @@ class TestMedialAxisCloud:
         assert checked_index_bound(cloud) == rips_index_bound(cloud) > 0.0
 
 
-def _non_projector(cloud, seed):
+def _non_projector(cloud, seed, noise=0.05):
     """Rescaled, slightly asymmetric matrix parts: off G_1, off the medial axis."""
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.8, 1.2, size=(len(cloud), 1, 1))
-    mats = cloud.mats * scale + 0.05 * rng.normal(size=cloud.mats.shape)
+    mats = cloud.mats * scale + noise * rng.normal(size=cloud.mats.shape)
     return LiftedCloud(cloud.xs, mats, cloud.gamma)
 
 
@@ -486,6 +496,33 @@ def test_graph_decider_matches_two_complex(name):
         f, Kp, _ = weak_simplicial_approximation(K, T)
         two_complex = not is_coboundary(Kp, pullback_cochain(f, Kp, T.L, T.w1))
         assert sw_class_at(cloud, t, T).nonzero == two_complex, f"t = {t:g}"
+
+
+# stronger perturbations of the matrix parts, each with an onset below its bound
+STRONG_NON_PROJECTOR_CLOUDS = {
+    "mobius-60-non-projector-0.15": lambda: _non_projector(circle_tautological(60, 1.0), 0, 0.15),
+    "mobius-60-non-projector-0.2": lambda: _non_projector(circle_tautological(60, 1.0), 0, 0.2),
+    "mobius-40-gamma-2-non-projector-0.2": lambda: _non_projector(
+        circle_tautological(40, 2.0), 2, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS) + sorted(STRONG_NON_PROJECTOR_CLOUDS))
+def test_sweep_onset_matches_sw_class_at(name):
+    # the parity sweep against the paper's pipeline: the same verdict at the
+    # indices of the two-complex check, and the class turns nonzero exactly
+    # at the double after t_dagger (or never below t_max)
+    cloud = {**CROSS_CHECK_CLOUDS, **STRONG_NON_PROJECTOR_CLOUDS}[name]()
+    T = triangulate_rp(cloud.m)
+    lb = lifebar(cloud)
+    for t in np.linspace(0.0, rips_index_bound(cloud), 8, endpoint=False):
+        expected = not lb.empty and t > lb.t_dagger
+        assert sw_class_at(cloud, t, T).nonzero == expected, f"t = {t:g}"
+    if lb.empty:
+        assert not sw_class_at(cloud, math.nextafter(lb.t_max, 0.0), T).nonzero
+    else:
+        assert not sw_class_at(cloud, lb.t_dagger, T).nonzero
+        assert sw_class_at(cloud, math.nextafter(lb.t_dagger, math.inf), T).nonzero
 
 
 class TestHausdorff:
@@ -527,11 +564,11 @@ class TestHausdorff:
 
 
 class TestStabilityAndScaling:
-    def test_stability_single_jitter(self, T2):
+    def test_stability_single_jitter(self):
         clean = circle_tautological(60, 1.0)
-        lb_clean = lifebar(clean, T2, resolution=0.02)
+        lb_clean = lifebar(clean, resolution=0.02)
         noisy = add_noise(clean, 0.03, seed=5)
-        lb_noisy = lifebar(noisy, T2, resolution=0.02)
+        lb_noisy = lifebar(noisy, resolution=0.02)
         eps = hausdorff_distance(clean, noisy)
         assert abs(lb_noisy.t_dagger - lb_clean.t_dagger) <= eps + 2 * 0.02
 

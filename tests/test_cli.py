@@ -1,12 +1,17 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swbundle.bundle import Lifebar
 from swbundle.cli import main
+from swbundle.datasets import load_cloud
 from swbundle.render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 from swbundle.z2 import INF, Barcode
+
+from test_sign_transport import TIE, sign_onset
 
 
 def run(*args):
@@ -37,6 +42,15 @@ class TestGenerate:
     def test_bad_count_exits_2(self, tmp_path):
         assert run("generate", "--dataset", "mobius", "--count", "2",
                    "--output", str(tmp_path / "x.json")) == 2
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dataset", "mobius", "--count", "20",
+                   "--noise", noise, "--output", str(out)) == 2
+        assert f"noise level must be finite and nonnegative, got {float(noise)}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBarcodeCommand:
@@ -128,13 +142,52 @@ class TestLifebarCommand:
         svg = (tmp_path / "lb.svg").read_text()
         assert 'fill="#1a1a1a"' not in svg  # nothing solid: empty lifebar
 
-    def test_subdivision_limit_exits_3(self, tmp_path):
+    def test_subdivision_limit_0_exits_0(self, tmp_path):
         cloud = tmp_path / "c.json"
         run("generate", "--dataset", "circle-normal", "--count", "8",
             "--output", str(cloud))
         rc = run("lifebar", "--input", str(cloud), "--subdiv-limit", "0",
                  "--resolution", "0.02", "--output", str(tmp_path / "lb.json"))
-        assert rc == 3
+        assert rc == 0
+
+    def test_lines_in_r8(self, tmp_path):
+        # the projective triangulations stop at m = 6; the sweep needs none
+        rng = np.random.default_rng(8)
+        theta = 2.0 * np.pi * np.arange(40) / 40
+        frame = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        lines = np.column_stack([np.cos(theta / 2), np.sin(theta / 2), np.zeros((40, 6))])
+        lines = (lines + 0.05 * rng.normal(size=lines.shape)) @ frame.T
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps({"n": 2, "m": 8, "gamma": 1.0, "points": [
+            {"x": [math.cos(a), math.sin(a)], "v": list(v)} for a, v in zip(theta, lines)]}))
+        out = tmp_path / "lb.json"
+        assert run("lifebar", "--input", str(cloud), "--output", str(out),
+                   "--render", "text") == 0
+        obj = json.loads(out.read_text())
+        t_star = sign_onset(load_cloud(str(cloud)))
+        assert t_star is not None and obj["t_dagger"] is not None
+        assert obj["t_dagger"] - TIE < t_star <= obj["t_dagger"] + obj["resolution"]
+        assert obj["evaluations"] == []
+
+    def test_answers_without_the_paper_pipeline(self, tmp_path, monkeypatch):
+        import swbundle.bundle as bundle
+        import swbundle.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lifebar must not call the reference pipeline")
+
+        for module, name in ((bundle, "weak_simplicial_approximation"),
+                             (bundle, "barycentric_subdivision"),
+                             (bundle, "is_coboundary"), (cli, "triangulate_rp")):
+            monkeypatch.setattr(module, name, refuse)
+        cloud = tmp_path / "c.json"
+        run("generate", "--dataset", "klein", "--count", "12", "--noise", "0.03",
+            "--output", str(cloud))
+        lb = bundle.lifebar(load_cloud(str(cloud)))
+        out = tmp_path / "lb.json"
+        assert run("lifebar", "--input", str(cloud), "--output", str(out)) == 0
+        assert not lb.empty
+        assert json.loads(out.read_text())["t_dagger"] == lb.t_dagger
 
     @pytest.mark.parametrize("option, value, message", [
         ("--resolution", "nan", "resolution must be positive and finite"),

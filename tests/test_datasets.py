@@ -141,6 +141,15 @@ class TestNoise:
         for A in noisy.mats:
             assert np.allclose(A @ A, A, atol=1e-10)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_level_refused(self, sigma):
+        c = circle_normal(10, 1.0)
+        message = f"noise level must be finite and nonnegative, got {sigma}"
+        with pytest.raises(ValueError, match=message):
+            add_noise(c, sigma, 0)
+        with pytest.raises(ValueError, match=f"got {sigma}"):
+            GeneratorSpec("circle_normal", 10, noise=sigma)
+
     def test_hausdorff_bounded(self):
         # calibrated over 180 draws: max H / sigma observed was 5.6
         c = circle_tautological(60, 1.0)
