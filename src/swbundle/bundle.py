@@ -34,8 +34,10 @@ from .grassmann import (
     MedialAxisError,
     jacobi_eigh_batch,
     line_projector,
+    line_projectors,
     GAP_TOLERANCE,
     tmax,
+    tmax_from_gaps,
 )
 from .projective import ProjectiveTriangulation
 from .simplicial import (
@@ -151,9 +153,21 @@ class LiftedCloud:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LiftedCloud":
+        if not isinstance(obj, dict):
+            raise ValueError(f"cloud must be a JSON object, got {type(obj).__name__}")
+        for key in ("n", "m"):
+            size = obj[key]
+            if not (type(size) is int or type(size) is float and size.is_integer()):
+                raise ValueError(f"'{key}' must be an integer, got {size!r}")
+        if type(obj["gamma"]) not in (int, float):
+            raise ValueError(f"'gamma' must be a number, got {obj['gamma']!r}")
         n, m, gamma = int(obj["n"]), int(obj["m"]), float(obj["gamma"])
+        if not isinstance(obj["points"], list):
+            raise ValueError(f"'points' must be a list, got {type(obj['points']).__name__}")
         xs, mats = [], []
-        for p in obj["points"]:
+        for k, p in enumerate(obj["points"]):
+            if not isinstance(p, dict):
+                raise ValueError(f"point {k} must be an object, got {type(p).__name__}")
             x = np.asarray(p["x"], dtype=float)
             if x.shape != (n,):
                 raise ValueError(f"point with x of shape {x.shape}, expected ({n},)")
@@ -179,19 +193,13 @@ def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud
     """Pair base points with the projectors onto their line directions.
 
     ``lines`` may be (N, m) direction vectors or (N, m, m) matrices taken
-    as-is for the matrix part.
+    as-is for the matrix part (LiftedCloud checks their shape).
     """
     base = np.asarray(base, dtype=float)
     lines = np.asarray(lines, dtype=float)
     if base.shape[0] != lines.shape[0]:
         raise ValueError("base points and lines differ in length")
-    if lines.ndim == 2:
-        mats = np.array([line_projector(v).P for v in lines])
-    elif lines.ndim == 3:
-        mats = lines
-    else:
-        raise ValueError("lines must be vectors or square matrices")
-    return LiftedCloud(base, mats, gamma)
+    return LiftedCloud(base, line_projectors(lines) if lines.ndim == 2 else lines, gamma)
 
 
 def rips_index_bound(cloud: LiftedCloud) -> float:
@@ -201,18 +209,23 @@ def rips_index_bound(cloud: LiftedCloud) -> float:
 
 def checked_index_bound(cloud: LiftedCloud) -> float:
     """rips_index_bound, or MedialAxisError naming the first point whose
-    eigen-gap is at most GAP_TOLERANCE (it has no line, and it closes the
-    index set).  The gaps are recomputed only on that path."""
-    bound = rips_index_bound(cloud)  # gamma times half the smallest gap
-    if bound <= cloud.gamma * GAP_TOLERANCE / 2.0:
-        _top_eigenvectors(cloud.mats, "point")
-    return bound
+    eigen-gap is at most GAP_TOLERANCE (it has no line; the index set is empty)."""
+    return _point_lines(cloud)[1]
 
 
-def _top_eigenvectors(mats: np.ndarray, noun: str) -> np.ndarray:
-    """Top eigenvectors of the symmetric parts of a stack of matrices, or
-    MedialAxisError naming the first (point or vertex) whose eigen-gap is at
-    most GAP_TOLERANCE."""
+def _point_lines(cloud: LiftedCloud) -> tuple[np.ndarray, float]:
+    """The points' top eigenvectors and checked_index_bound, from one eigensolve."""
+    u, gaps = _top_eigenvectors(cloud.mats, "point")
+    return u, tmax_from_gaps(gaps, cloud.gamma) / SQRT2
+
+
+def _top_eigenvectors(mats: np.ndarray, noun: str) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvectors and eigen-gaps of the symmetric parts of a stack of
+    matrices, or MedialAxisError naming the first (point or vertex) whose
+    eigen-gap is at most GAP_TOLERANCE; ValueError for 1 x 1 matrices."""
+    m = mats.shape[1]
+    if m < 2:
+        raise ValueError(f"d = 1 out of range for m = {m}: a {m} x {m} matrix part has no line")
     vals, vecs = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
     gaps = vals[:, 0] - vals[:, 1]
     bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
@@ -221,7 +234,7 @@ def _top_eigenvectors(mats: np.ndarray, noun: str) -> np.ndarray:
             f"{noun} {int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
             "matrix part on the medial axis"
         )
-    return vecs[:, :, 0]
+    return vecs[:, :, 0], gaps
 
 
 def build_bundle_filtration(cloud: LiftedCloud, max_t: float) -> FilteredComplex:
@@ -272,8 +285,7 @@ def vertex_face_values(K: SimplicialComplex, T: ProjectiveTriangulation) -> dict
     if K.payloads.shape[1] < m * m:
         raise ValueError("payload width too small for the matrix block")
     mats = K.payloads[:, K.payloads.shape[1] - m * m:].reshape(-1, m, m)
-    simplices = T.face_simplices(_top_eigenvectors(mats, "vertex"))
-    return {v: simplices[v] for v in range(len(simplices))}
+    return dict(enumerate(T.face_simplices(_top_eigenvectors(mats, "vertex")[0])))
 
 
 def weak_star_check(K: SimplicialComplex, values: Mapping[int, tuple], _pick: str = "min"):
@@ -451,13 +463,9 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    bound = checked_index_bound(cloud)
-    below = math.nextafter(SQRT2 * bound, 0.0)
-    n, iu, ju, values = _flag_edges(cloud.distance_matrix(), below)
-    order = np.argsort(values, kind="stable")  # filtration order (value, i, j)
-    iu, ju, values = iu[order], ju[order], values[order].tolist()
-    u = _top_eigenvectors(cloud.mats, "point")
-    mid = _top_eigenvectors((cloud.mats[iu] + cloud.mats[ju]) / 2.0, "edge midpoint")
+    u, bound = _point_lines(cloud)
+    n, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
+    mid, _ = _top_eigenvectors((cloud.mats[iu] + cloud.mats[ju]) / 2.0, "edge midpoint")
     flips = np.einsum("ij,ij->i", u[iu], mid) * np.einsum("ij,ij->i", mid, u[ju]) < 0.0
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
 

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import LiftedCloud
-from .grassmann import jacobi_eigh_batch, line_projector
+from .bundle import LiftedCloud, _top_eigenvectors
+from .grassmann import line_projectors
 
 _KINDS = ("circle_normal", "circle_tautological", "torus_normal", "klein_normal")
 
@@ -82,30 +82,29 @@ def circle_tautological(k: int, gamma: float = 1.0) -> LiftedCloud:
     return _circle(k, gamma, half_speed=True)
 
 
-def _torus_point(u: float, v: float):
-    x = np.array([(2.0 + np.cos(v)) * np.cos(u), (2.0 + np.cos(v)) * np.sin(u), np.sin(v)])
-    normal = np.array([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)])
-    return x, normal
+def _grid(k_u: int, k_v: int) -> tuple:
+    """Parameters (u, v) of a k_u x k_v grid on the square [0, 2 pi)^2, v fastest."""
+    if k_u < 3 or k_v < 3:
+        raise ValueError("grid counts must be at least 3")
+    u, v = np.meshgrid(2.0 * np.pi * np.arange(k_u) / k_u, 2.0 * np.pi * np.arange(k_v) / k_v,
+                       indexing="ij")
+    return u.ravel(), v.ravel()
 
 
 def torus_normal(k_u: int, k_v: int, gamma: float = 1.0) -> LiftedCloud:
     """Grid sample of the torus (R = 2, r = 1) with its unit normal lines."""
-    if k_u < 3 or k_v < 3:
-        raise ValueError("grid counts must be at least 3")
-    xs, mats = [], []
-    for u in 2.0 * np.pi * np.arange(k_u) / k_u:
-        for v in 2.0 * np.pi * np.arange(k_v) / k_v:
-            x, normal = _torus_point(u, v)
-            xs.append(x)
-            mats.append(line_projector(normal).P)
-    return LiftedCloud(np.array(xs), np.array(mats), gamma)
+    u, v = _grid(k_u, k_v)
+    xs = np.column_stack([(2.0 + np.cos(v)) * np.cos(u), (2.0 + np.cos(v)) * np.sin(u), np.sin(v)])
+    normals = np.column_stack([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)])
+    return LiftedCloud(xs, line_projectors(normals), gamma)
 
 
-def klein_point(u: float, v: float) -> np.ndarray:
-    """Figure-8 immersion of the Klein bottle in R^3 (tube scale a = 2)."""
+def klein_point(u, v) -> np.ndarray:
+    """Figure-8 immersion of the Klein bottle in R^3 (tube scale a = 2), along
+    the last axis of arrays u and v of one shape (or of two scalars)."""
     r = 2.0 + np.cos(u / 2.0) * np.sin(v) - np.sin(u / 2.0) * np.sin(2.0 * v)
     z = np.sin(u / 2.0) * np.sin(v) + np.cos(u / 2.0) * np.sin(2.0 * v)
-    return np.array([r * np.cos(u), r * np.sin(u), z])
+    return np.stack([r * np.cos(u), r * np.sin(u), z], axis=-1)
 
 
 def klein_normal(k_u: int, k_v: int, gamma: float = 1.0) -> LiftedCloud:
@@ -114,17 +113,11 @@ def klein_normal(k_u: int, k_v: int, gamma: float = 1.0) -> LiftedCloud:
     Normals come from central differences of the parametrization (the closed
     form is unwieldy).
     """
-    if k_u < 3 or k_v < 3:
-        raise ValueError("grid counts must be at least 3")
+    u, v = _grid(k_u, k_v)
     h = _FD_STEP
-    xs, mats = [], []
-    for u in 2.0 * np.pi * np.arange(k_u) / k_u:
-        for v in 2.0 * np.pi * np.arange(k_v) / k_v:
-            xs.append(klein_point(u, v))
-            du = (klein_point(u + h, v) - klein_point(u - h, v)) / (2.0 * h)
-            dv = (klein_point(u, v + h) - klein_point(u, v - h)) / (2.0 * h)
-            mats.append(line_projector(np.cross(du, dv)).P)
-    return LiftedCloud(np.array(xs), np.array(mats), gamma)
+    du = (klein_point(u + h, v) - klein_point(u - h, v)) / (2.0 * h)
+    dv = (klein_point(u, v + h) - klein_point(u, v - h)) / (2.0 * h)
+    return LiftedCloud(klein_point(u, v), line_projectors(np.cross(du, dv)), gamma)
 
 
 def tangent_lift(points: np.ndarray, gamma: float = 1.0) -> LiftedCloud:
@@ -133,8 +126,7 @@ def tangent_lift(points: np.ndarray, gamma: float = 1.0) -> LiftedCloud:
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise ValueError("need an ordered cloud of at least 3 points")
     diffs = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    mats = np.array([line_projector(d).P for d in diffs])
-    return LiftedCloud(pts, mats, gamma)
+    return LiftedCloud(pts, line_projectors(diffs), gamma)
 
 
 def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
@@ -142,18 +134,17 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
 
     Matrix parts stay on the Grassmannian: each fiber's top eigenvector is
     perturbed and sent back through the rank-1 projector.  Deterministic for
-    a fixed seed.
+    a fixed seed.  A point on the medial axis has no top eigenvector to
+    perturb: it raises MedialAxisError.
     """
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return cloud
+    u, _ = _top_eigenvectors(cloud.mats, "point")
     rng = np.random.default_rng(seed)
     xs = cloud.xs + sigma * rng.normal(size=cloud.xs.shape)
-    dir_noise = sigma * rng.normal(size=(len(cloud), cloud.m))
-    _, vecs = jacobi_eigh_batch(cloud.mats)
-    mats = [line_projector(v + dv).P for v, dv in zip(vecs[:, :, 0], dir_noise)]
-    return LiftedCloud(xs, np.array(mats), cloud.gamma)
+    return LiftedCloud(xs, line_projectors(u + sigma * rng.normal(size=u.shape)), cloud.gamma)
 
 
 # ---------------------------------------------------------------------------

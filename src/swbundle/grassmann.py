@@ -180,9 +180,8 @@ def medial_distance(A: np.ndarray, d: int) -> float:
     m = A.shape[0]
     if not 1 <= d < m:
         raise ValueError(f"d = {d} out of range for m = {m}")
-    eig = jacobi_eigh((A + A.T) / 2.0)
-    lam = eig.eigenvalues
-    return float(np.sqrt(2.0) / 2.0 * abs(lam[d - 1] - lam[d]))
+    lam = jacobi_eigh((A + A.T) / 2.0).eigenvalues
+    return tmax_from_gaps(lam[d - 1] - lam[d], 1.0)
 
 
 def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
@@ -206,16 +205,29 @@ def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
     return GrassmannPoint(top @ top.T, d)
 
 
+def line_projectors(V: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors onto the lines spanned by the rows of V, shape (N, m, m)."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise ValueError("expected direction vectors of shape (N, m)")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("non-finite direction vector")
+    # row norms from per-row dot products, rounded as np.linalg.norm(v) rounds
+    nrm = np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
+    if np.any(nrm <= 1e-12):
+        raise ValueError("near-zero direction vector")
+    U = V / nrm
+    return U[:, :, None] * U[:, None, :]
+
+
 def line_projector(v: np.ndarray) -> GrassmannPoint:
     """Rank-1 projector onto the line spanned by v."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite direction vector")
-    nrm = np.linalg.norm(v)
-    if nrm <= 1e-12:
-        raise ValueError("near-zero direction vector")
-    u = v / nrm
-    return GrassmannPoint(np.outer(u, u), 1)
+    return GrassmannPoint(line_projectors([v])[0], 1)
+
+
+def tmax_from_gaps(gaps: np.ndarray, gamma: float) -> float:
+    """gamma times the smallest medial-axis distance: sqrt(2)/2 times an eigen-gap."""
+    return gamma * float(np.min(np.sqrt(2.0) / 2.0 * np.abs(gaps)))
 
 
 def tmax(points, d: int, gamma: float) -> float:
@@ -230,4 +242,4 @@ def tmax(points, d: int, gamma: float) -> float:
     if not 1 <= d < m:
         raise ValueError(f"d = {d} out of range for m = {m}")
     lam, _ = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
-    return gamma * float(np.min(np.sqrt(2.0) / 2.0 * np.abs(lam[:, d - 1] - lam[:, d])))
+    return tmax_from_gaps(lam[:, d - 1] - lam[:, d], gamma)

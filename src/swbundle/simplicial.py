@@ -124,17 +124,6 @@ class FilteredComplex:
                         if vals[s[:drop] + s[drop + 1:]] > v + 1e-12:
                             raise ValueError(f"non-monotone filtration at {s}")
 
-    def subcomplex_at(self, t: float) -> SimplicialComplex:
-        """All simplices with value <= t, as a plain complex (payloads kept)."""
-        keep = [s for ss in self.complex.simplices.values() for s in ss if self.values[s] <= t]
-        vertex_ids = sorted(s[0] for s in keep if len(s) == 1)
-        payloads = self.complex.payloads
-        if payloads is not None:
-            if vertex_ids != list(range(len(vertex_ids))):
-                raise ValueError("subcomplex would break contiguous vertex ids")
-            payloads = payloads[: len(vertex_ids)]
-        return SimplicialComplex(keep, payloads=payloads, _trusted=True)
-
     def to_json_obj(self) -> list:
         out = []
         for d in sorted(self.complex.simplices):
@@ -193,8 +182,9 @@ def _flag_fill(n_vertices: int, edges: list[tuple], edge_values: dict, max_dim: 
 def _flag_edges(D: np.ndarray, max_value: float):
     """Validate a distance matrix and list the edges of its flag filtration.
 
-    Returns (n, i, j, values): the pairs i < j in lexicographic order whose
-    value D[i, j] / 2 is at most max_value.
+    Returns (n, i, j, values): the pairs i < j whose value D[i, j] / 2 is at
+    most max_value, in filtration order (by value, ties by (i, j)), as two
+    index arrays and a list of values.
     """
     if not max_value >= 0:
         raise ValueError(f"max value must be non-negative, got {max_value}")
@@ -213,8 +203,9 @@ def _flag_edges(D: np.ndarray, max_value: float):
 
     iu, ju = np.triu_indices(n, k=1)
     vals = D[iu, ju] / 2.0
-    keep = vals <= max_value
-    return n, iu[keep], ju[keep], vals[keep]
+    keep = np.nonzero(vals <= max_value)[0]
+    order = keep[np.argsort(vals[keep], kind="stable")]
+    return n, iu[order], ju[order], vals[order].tolist()
 
 
 def rips_filtration(
@@ -230,9 +221,9 @@ def rips_filtration(
     radius t.  Higher simplices (up to max_dim) enter at the max of their
     edges; simplices with value > max_value are omitted.
     """
-    n, iu, ju, vals = _flag_edges(D, max_value)
+    n, iu, ju, values = _flag_edges(D, max_value)
     edges = list(zip(iu.tolist(), ju.tolist()))
-    edge_values = dict(zip(edges, vals.tolist()))
+    edge_values = dict(zip(edges, values))
     simplices, values = _flag_fill(n, edges, edge_values, max_dim)
     K = SimplicialComplex(simplices, payloads=payloads, _trusted=True)
     return FilteredComplex(K, values, _skip_checks=True)
@@ -252,10 +243,7 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     """
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
-    n, iu, ju, vals = _flag_edges(D, max_value)
-    # filtration order (value, i, j): the pairs already come in (i, j) order
-    order = np.argsort(vals, kind="stable")
-    iu, ju, values = iu[order], ju[order], vals[order].tolist()
+    n, iu, ju, values = _flag_edges(D, max_value)
 
     parent = list(range(n))
     tree = np.zeros(len(values), dtype=bool)

@@ -372,7 +372,7 @@ class TestLifebar:
     def test_cloud_data_computed_once(self, monkeypatch):
         import swbundle.bundle as bundle
 
-        calls = {"tmax": 0, "distance_matrix": 0, "payloads": 0}
+        calls = {"tmax": 0, "jacobi_eigh_batch": 0, "distance_matrix": 0, "payloads": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -380,15 +380,18 @@ class TestLifebar:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(bundle, "tmax", counted("tmax", bundle.tmax))
+        for name in ("tmax", "jacobi_eigh_batch"):
+            monkeypatch.setattr(bundle, name, counted(name, getattr(bundle, name)))
         for name in ("distance_matrix", "payloads"):
             monkeypatch.setattr(LiftedCloud, name, counted(name, getattr(LiftedCloud, name)))
         cloud = circle_tautological(40, 1.0)
         expected = lifebar(circle_tautological(40, 1.0), resolution=0.05)
-        calls.update(tmax=0, distance_matrix=0, payloads=0)
+        calls.update(tmax=0, jacobi_eigh_batch=0, distance_matrix=0, payloads=0)
         lb = lifebar(cloud, resolution=0.05)
         assert lb == expected
-        assert calls == {"tmax": 1, "distance_matrix": 1, "payloads": 0}
+        # one eigensolve of the points gives both the bound and the lines,
+        # one more solves the edge midpoints
+        assert calls == {"tmax": 0, "jacobi_eigh_batch": 2, "distance_matrix": 1, "payloads": 0}
 
     @pytest.mark.parametrize("make", [
         lambda: circle_tautological(40, 1.0),
@@ -481,6 +484,13 @@ CROSS_CHECK_CLOUDS = {
     "mobius-non-projector": lambda: _non_projector(circle_tautological(30, 1.0), 3),
     "circle-normal-non-projector": lambda: _non_projector(circle_normal(40, 1.0), 4),
 }
+
+
+def test_checked_bound_equals_rips_bound():
+    # the bound read off the lines' eigensolve is the tmax formula, to the bit
+    for make in CROSS_CHECK_CLOUDS.values():
+        cloud = make()
+        assert checked_index_bound(cloud) == rips_index_bound(cloud)
 
 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))

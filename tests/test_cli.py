@@ -215,8 +215,19 @@ def _corrupt(obj, where):
         for i, p in enumerate(obj["points"]):
             p["v"] = [1.0, 0.0, 1.0] if i == 4 else [1.0, 0.0]
             del p["A"]
+    elif where == "points":
+        obj["points"] = 5
+    elif where == "point":
+        obj["points"] = [1]
+    elif where == "n":
+        obj["n"] = 2.5
+    elif where == "m":
+        obj["m"] = "2"
+    elif where == "document":
+        return [obj]
     else:
         obj["gamma"] = float("nan")
+    return obj
 
 
 @pytest.mark.parametrize("command", ["lifebar", "barcode"])
@@ -226,12 +237,16 @@ def _corrupt(obj, where):
     ("gamma", "gamma must be positive and finite"),
     ("v", "point with v of shape (3,), expected (2,)"),
     ("v mixed", "point with v of shape (3,), expected (2,)"),
+    ("points", "'points' must be a list, got int"),
+    ("point", "point 0 must be an object, got int"),
+    ("n", "'n' must be an integer, got 2.5"),
+    ("m", "'m' must be an integer, got '2'"),
+    ("document", "cloud must be a JSON object, got list"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"
     run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
-    obj = json.loads(cloud.read_text())
-    _corrupt(obj, where)
+    obj = _corrupt(json.loads(cloud.read_text()), where)
     cloud.write_text(json.dumps(obj))  # NaN / Infinity literals, as json reads them
     out = tmp_path / "out.json"
     assert run(command, "--input", str(cloud), "--output", str(out)) == 2
@@ -261,6 +276,32 @@ def test_medial_axis_cloud_barcode_with_max_edge(tmp_path):
     # plain persistence needs no projection: an explicit bound is accepted
     cloud = tmp_path / "c.json"
     cloud.write_text(json.dumps(MEDIAL_AXIS_CLOUD))
+    out = tmp_path / "out.json"
+    assert run("barcode", "--input", str(cloud), "--max-edge", "1.0", "--output", str(out)) == 0
+    assert len(Barcode.from_json(out.read_text()).intervals) == 3
+
+
+# 1 x 1 matrix parts: there is no line to project to, so no index bound
+M1_CLOUD = {"n": 1, "m": 1, "gamma": 1.0, "points": [
+    {"x": [0.0], "A": [[1.0]]},
+    {"x": [1.0], "A": [[0.5]]},
+    {"x": [2.0], "A": [[0.0]]},
+]}
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_m1_cloud_exits_2(tmp_path, capsys, command):
+    cloud = tmp_path / "c.json"
+    cloud.write_text(json.dumps(M1_CLOUD))
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    assert "out of range for m = 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_m1_cloud_barcode_with_max_edge(tmp_path):
+    cloud = tmp_path / "c.json"
+    cloud.write_text(json.dumps(M1_CLOUD))
     out = tmp_path / "out.json"
     assert run("barcode", "--input", str(cloud), "--max-edge", "1.0", "--output", str(out)) == 0
     assert len(Barcode.from_json(out.read_text()).intervals) == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swbundle.bundle import hausdorff_distance, rips_index_bound
+from swbundle.bundle import LiftedCloud, hausdorff_distance, rips_index_bound
 from swbundle.datasets import (
     GeneratorSpec,
     add_noise,
@@ -17,7 +17,9 @@ from swbundle.datasets import (
     tangent_lift,
     torus_normal,
 )
-from swbundle.grassmann import line_projector
+from swbundle.grassmann import MedialAxisError, line_projector
+
+from test_cli import MEDIAL_AXIS_CLOUD
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +101,10 @@ class TestSurfaceGenerators:
         # and is 2 pi periodic in v
         assert np.allclose(klein_point(1.0, 0.3 + 2 * np.pi), klein_point(1.0, 0.3))
 
+    def test_klein_point_takes_arrays(self, rng):
+        u, v = rng.uniform(0.0, 2 * np.pi, size=(2, 5))
+        assert np.array_equal(klein_point(u, v), [klein_point(a, b) for a, b in zip(u, v)])
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             torus_normal(2, 5, 1.0)
@@ -127,6 +133,12 @@ class TestNoise:
     def test_zero_sigma_identity(self):
         c = circle_normal(10, 1.0)
         assert add_noise(c, 0.0, 3) is c
+
+    def test_medial_axis_point_refused(self):
+        # point 1 carries I/2: it has no top eigenvector to perturb
+        cloud = LiftedCloud.from_json_obj(MEDIAL_AXIS_CLOUD)
+        with pytest.raises(MedialAxisError, match="point 1 has eigen-gap 0.000e"):
+            add_noise(cloud, 0.05, 3)
 
     def test_deterministic_per_seed(self):
         c = circle_normal(10, 1.0)

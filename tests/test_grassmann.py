@@ -12,6 +12,7 @@ from swbundle.grassmann import (
     jacobi_eigh,
     jacobi_eigh_batch,
     line_projector,
+    line_projectors,
     medial_distance,
     project_grassmannian,
     tmax,
@@ -250,6 +251,21 @@ class TestLineProjector:
     def test_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             line_projector([np.nan, 1.0])
+
+    def test_batch_matches_rows(self, rng):
+        V = rng.normal(size=(7, 3))
+        P = line_projectors(V)
+        assert P.shape == (7, 3, 3)
+        for v, p in zip(V, P):
+            assert np.array_equal(p, line_projector(v).P)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0.0, 1e-15], "near-zero direction vector"),
+        ([np.nan, 1.0], "non-finite direction vector"),
+    ])
+    def test_batch_refuses_one_bad_row(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            line_projectors([[1.0, 0.0], bad, [0.0, 1.0]])
 
     def test_top_direction(self, rng):
         v = rng.normal(size=3)

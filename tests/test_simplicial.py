@@ -88,9 +88,8 @@ class TestRips:
     def test_flag_property(self, rng):
         pts = rng.normal(size=(10, 2))
         D = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        F = rips_filtration(D, 1.0, 2)
         for t in (0.3, 0.6, 0.9):
-            sub = F.subcomplex_at(t)
+            sub = rips_filtration(D, t, 2).complex
             flag = clique_complex(sub.simplices.get(1, ()), len(sub.vertices), 2)
             assert flag.simplices == sub.simplices
 

@@ -215,7 +215,7 @@ class TestBarcode:
         D = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         F = rips_filtration(D, 10.0, 2)
         for t, expected in [(0.9, 0), (1.2, 1), (1.5, 0)]:
-            assert betti_numbers(F.subcomplex_at(t), 1)[1] == expected
+            assert betti_numbers(rips_filtration(D, t, 2).complex, 1)[1] == expected
         assert barcode(F, 1).in_dim(1) == [(1.0, math.sqrt(2.0))]
 
     def test_infinite_h0_equals_components(self, rng):
