@@ -32,13 +32,16 @@ import numpy as np
 from .grassmann import (
     MatrixPoint,
     MedialAxisError,
-    jacobi_eigh_batch,
+    eigh_descending,
     line_projector,
     line_projectors,
     GAP_TOLERANCE,
     tmax,
     tmax_from_gaps,
 )
+# jacobi_eigh_batch is not called here; it stays importable from this module
+# because bench/spans.py times the names the bundle layer imports.
+from .grassmann import jacobi_eigh_batch  # noqa: F401
 from .projective import ProjectiveTriangulation
 from .simplicial import (
     SimplicialComplex,
@@ -168,15 +171,15 @@ class LiftedCloud:
         for k, p in enumerate(obj["points"]):
             if not isinstance(p, dict):
                 raise ValueError(f"point {k} must be an object, got {type(p).__name__}")
-            x = np.asarray(p["x"], dtype=float)
+            x = _point_field(p, k, "x")
             if x.shape != (n,):
                 raise ValueError(f"point with x of shape {x.shape}, expected ({n},)")
             if "A" in p:
-                A = np.asarray(p["A"], dtype=float)
+                A = _point_field(p, k, "A")
                 if A.shape != (m, m):
                     raise ValueError(f"point with A of shape {A.shape}, expected ({m}, {m})")
             elif "v" in p:
-                v = np.asarray(p["v"], dtype=float)
+                v = _point_field(p, k, "v")
                 if v.shape != (m,):
                     raise ValueError(f"point with v of shape {v.shape}, expected ({m},)")
                 A = line_projector(v).P
@@ -187,6 +190,14 @@ class LiftedCloud:
         if not xs:
             raise ValueError("empty cloud")
         return cls(np.array(xs), np.array(mats), gamma)
+
+
+def _point_field(point: dict, k: int, key: str) -> np.ndarray:
+    """point[key] as a float array, or ValueError naming point k and the field."""
+    try:
+        return np.asarray(point[key], dtype=float)
+    except TypeError as err:
+        raise ValueError(f"point {k} has a non-numeric '{key}': {err}") from None
 
 
 def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud:
@@ -219,19 +230,23 @@ def _point_lines(cloud: LiftedCloud) -> tuple[np.ndarray, float]:
     return u, tmax_from_gaps(gaps, cloud.gamma) / SQRT2
 
 
-def _top_eigenvectors(mats: np.ndarray, noun: str) -> tuple[np.ndarray, np.ndarray]:
+def _top_eigenvectors(
+    mats: np.ndarray, noun: str, first: int = 0, solve=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvectors and eigen-gaps of the symmetric parts of a stack of
     matrices, or MedialAxisError naming the first (point or vertex) whose
-    eigen-gap is at most GAP_TOLERANCE; ValueError for 1 x 1 matrices."""
+    eigen-gap is at most GAP_TOLERANCE, numbered from first; ValueError for
+    1 x 1 matrices.  solve (default eigh_descending) returns eigenvalues in
+    descending order with the matching columns."""
     m = mats.shape[1]
     if m < 2:
         raise ValueError(f"d = 1 out of range for m = {m}: a {m} x {m} matrix part has no line")
-    vals, vecs = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
+    vals, vecs = (solve or eigh_descending)((mats + mats.transpose(0, 2, 1)) / 2.0)
     gaps = vals[:, 0] - vals[:, 1]
     bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
     if bad.size:
         raise MedialAxisError(
-            f"{noun} {int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
+            f"{noun} {first + int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
             "matrix part on the medial axis"
         )
     return vecs[:, :, 0], gaps
@@ -458,15 +473,21 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     of sym(B) orthogonal to u_i would need w'Ew - u_i'Eu_i >= g, but that
     difference is at most sqrt(2) |E|_F < g.  So the top line of each half
     is simple and never orthogonal to its endpoint's, and the two signs give
-    the fiber's transport.  A midpoint within GAP_TOLERANCE of the medial
-    axis raises MedialAxisError.
+    the fiber's transport.  Nor can a midpoint below the bound lie within
+    GAP_TOLERANCE of the medial axis: the MedialAxisError check asserts this
+    on the midpoints solved, and a midpoint past the closing edge is neither
+    solved nor checked.
+
+    The midpoints are solved and signed block by block in filtration order,
+    only as far as the sweep reads: the first block has max(n, 64) edges
+    and each later one twice as many, so at most twice the edges up to the
+    closing one plus one block are solved, in O(log E) solver calls.  An
+    empty lifebar solves every edge below the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, bound = _point_lines(cloud)
     n, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
-    mid, _ = _top_eigenvectors((cloud.mats[iu] + cloud.mats[ju]) / 2.0, "edge midpoint")
-    flips = np.einsum("ij,ij->i", u[iu], mid) * np.einsum("ij,ij->i", mid, u[ju]) < 0.0
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
 
     def find(a: int):
@@ -479,17 +500,24 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
             a = parent[a]
         return a, odd
 
-    for i, j, flip, value in zip(iu.tolist(), ju.tolist(), flips.tolist(), values):
-        (ri, pi), (rj, pj) = find(i), find(j)
-        if ri != rj:
-            parent[ri], parity[ri] = rj, pi ^ pj ^ flip
-        elif pi ^ pj ^ flip:
-            t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
-            while SQRT2 * t_star < value:
-                t_star = math.nextafter(t_star, math.inf)
-            while t_star > 0.0 and SQRT2 * math.nextafter(t_star, 0.0) >= value:
-                t_star = math.nextafter(t_star, 0.0)
-            # t_star can round up to the bound itself, outside the index set
-            t_dagger = math.nextafter(t_star, 0.0) if t_star < bound else None
-            return Lifebar(bound, t_dagger, resolution)
+    lo, size = 0, max(n, 64)
+    while lo < len(values):
+        block = slice(lo, lo + size)
+        bi, bj = iu[block], ju[block]
+        mid, _ = _top_eigenvectors((cloud.mats[bi] + cloud.mats[bj]) / 2.0, "edge midpoint", lo)
+        flips = np.einsum("ij,ij->i", u[bi], mid) * np.einsum("ij,ij->i", mid, u[bj]) < 0.0
+        for i, j, flip, value in zip(bi.tolist(), bj.tolist(), flips.tolist(), values[block]):
+            (ri, pi), (rj, pj) = find(i), find(j)
+            if ri != rj:
+                parent[ri], parity[ri] = rj, pi ^ pj ^ flip
+            elif pi ^ pj ^ flip:
+                t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
+                while SQRT2 * t_star < value:
+                    t_star = math.nextafter(t_star, math.inf)
+                while t_star > 0.0 and SQRT2 * math.nextafter(t_star, 0.0) >= value:
+                    t_star = math.nextafter(t_star, 0.0)
+                # t_star can round up to the bound itself, outside the index set
+                t_dagger = math.nextafter(t_star, 0.0) if t_star < bound else None
+                return Lifebar(bound, t_dagger, resolution)
+        lo, size = lo + size, 2 * size
     return Lifebar(bound, None, resolution)

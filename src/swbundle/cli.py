@@ -7,6 +7,7 @@ SWBUNDLE_LOG environment variable (debug / info / warning).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -41,6 +42,7 @@ _DATASET_ALIASES = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swbundle",

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bundle import LiftedCloud, _top_eigenvectors
-from .grassmann import line_projectors
+from .grassmann import jacobi_eigh_batch, line_projectors
 
 _KINDS = ("circle_normal", "circle_tautological", "torus_normal", "klein_normal")
 
@@ -135,13 +135,15 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
     Matrix parts stay on the Grassmannian: each fiber's top eigenvector is
     perturbed and sent back through the rank-1 projector.  Deterministic for
     a fixed seed.  A point on the medial axis has no top eigenvector to
-    perturb: it raises MedialAxisError.
+    perturb: it raises MedialAxisError.  The lines come from the Jacobi
+    solver: the sign of each u fixes u + sigma * noise, so another solver
+    would change the generated clouds.
     """
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return cloud
-    u, _ = _top_eigenvectors(cloud.mats, "point")
+    u, _ = _top_eigenvectors(cloud.mats, "point", solve=jacobi_eigh_batch)
     rng = np.random.default_rng(seed)
     xs = cloud.xs + sigma * rng.normal(size=cloud.xs.shape)
     return LiftedCloud(xs, line_projectors(u + sigma * rng.normal(size=u.shape)), cloud.gamma)

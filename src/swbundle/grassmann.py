@@ -1,4 +1,4 @@
-"""Product-space metric, symmetric eigensolver, and projection onto G_d(R^m).
+"""Product-space metric, symmetric eigensolvers, and projection onto G_d(R^m).
 
 The Grassmannian of d-planes is embedded in matrix space as orthogonal
 projection matrices.  Projecting a matrix onto it reduces to symmetrizing,
@@ -72,8 +72,7 @@ class GrassmannPoint:
         """Unit vector spanning the range, for d = 1."""
         if self.d != 1:
             raise ValueError("top_direction is only defined for lines")
-        eig = jacobi_eigh(self.P)
-        return eig.eigenvectors[:, 0]
+        return eigh_descending(self.P)[1][:, 0]
 
 
 def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
@@ -88,8 +87,16 @@ def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver
+# Eigensolvers: LAPACK for every caller, cyclic Jacobi as the test oracle
 # ---------------------------------------------------------------------------
+
+def eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a symmetric matrix or stack (..., m, m), reordered:
+    eigenvalues (..., m) descending, eigenvectors (..., m, m) in matching columns.
+    Reads only the lower triangle; callers pass symmetric parts."""
+    vals, vecs = np.linalg.eigh(S)
+    return vals[..., ::-1], vecs[..., ::-1]
+
 
 def jacobi_eigh(S: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of one symmetric matrix; see jacobi_eigh_batch."""
@@ -180,7 +187,7 @@ def medial_distance(A: np.ndarray, d: int) -> float:
     m = A.shape[0]
     if not 1 <= d < m:
         raise ValueError(f"d = {d} out of range for m = {m}")
-    lam = jacobi_eigh((A + A.T) / 2.0).eigenvalues
+    lam = eigh_descending((A + A.T) / 2.0)[0]
     return tmax_from_gaps(lam[d - 1] - lam[d], 1.0)
 
 
@@ -195,8 +202,7 @@ def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
     m = A.shape[0]
     if not 1 <= d < m:
         raise ValueError(f"d = {d} out of range for m = {m}")
-    eig = jacobi_eigh((A + A.T) / 2.0)
-    lam, O = eig.eigenvalues, eig.eigenvectors
+    lam, O = eigh_descending((A + A.T) / 2.0)
     if lam[d - 1] - lam[d] <= GAP_TOLERANCE:
         raise MedialAxisError(
             f"eigen-gap {lam[d - 1] - lam[d]:.3e} at position {d}: matrix on the medial axis"
@@ -241,5 +247,5 @@ def tmax(points, d: int, gamma: float) -> float:
     m = mats.shape[1]
     if not 1 <= d < m:
         raise ValueError(f"d = {d} out of range for m = {m}")
-    lam, _ = jacobi_eigh_batch((mats + mats.transpose(0, 2, 1)) / 2.0)
+    lam, _ = eigh_descending((mats + mats.transpose(0, 2, 1)) / 2.0)
     return tmax_from_gaps(lam[:, d - 1] - lam[:, d], gamma)

@@ -372,7 +372,7 @@ class TestLifebar:
     def test_cloud_data_computed_once(self, monkeypatch):
         import swbundle.bundle as bundle
 
-        calls = {"tmax": 0, "jacobi_eigh_batch": 0, "distance_matrix": 0, "payloads": 0}
+        calls = {"tmax": 0, "eigh_descending": 0, "distance_matrix": 0, "payloads": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -380,18 +380,58 @@ class TestLifebar:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("tmax", "jacobi_eigh_batch"):
+        for name in ("tmax", "eigh_descending"):
             monkeypatch.setattr(bundle, name, counted(name, getattr(bundle, name)))
         for name in ("distance_matrix", "payloads"):
             monkeypatch.setattr(LiftedCloud, name, counted(name, getattr(LiftedCloud, name)))
         cloud = circle_tautological(40, 1.0)
         expected = lifebar(circle_tautological(40, 1.0), resolution=0.05)
-        calls.update(tmax=0, jacobi_eigh_batch=0, distance_matrix=0, payloads=0)
+        calls.update(tmax=0, eigh_descending=0, distance_matrix=0, payloads=0)
         lb = lifebar(cloud, resolution=0.05)
         assert lb == expected
-        # one eigensolve of the points gives both the bound and the lines,
-        # one more solves the edge midpoints
-        assert calls == {"tmax": 0, "jacobi_eigh_batch": 2, "distance_matrix": 1, "payloads": 0}
+        # one eigensolve of the points gives both the bound and the lines;
+        # the odd cycle closes within the first block of 64 edge midpoints
+        assert calls == {"tmax": 0, "eigh_descending": 2, "distance_matrix": 1, "payloads": 0}
+
+    @staticmethod
+    def _solved_rows(monkeypatch):
+        """Row counts of the stacks that reach bundle's eigensolver, in call order."""
+        import swbundle.bundle as bundle
+
+        rows = []
+        solve = bundle.eigh_descending
+
+        def counted(S):
+            rows.append(S.shape[0])
+            return solve(S)
+
+        monkeypatch.setattr(bundle, "eigh_descending", counted)
+        return rows
+
+    def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
+        cloud = add_noise(circle_tautological(240, 1.0), 0.02, 1)
+        rows = self._solved_rows(monkeypatch)
+        lb = lifebar(cloud)
+        assert not lb.empty
+        iu, ju = np.triu_indices(len(cloud), k=1)
+        values = cloud.distance_matrix()[iu, ju] / 2.0  # the flag filtration's edge values
+        t_star = math.nextafter(lb.t_dagger, math.inf)
+        # the closing edge is the last with value <= SQRT2 * t_star (ties aside)
+        closing_plus_one = int(np.sum(values <= SQRT2 * t_star))
+        assert rows[0] == len(cloud)  # the points
+        midpoints = sum(rows[1:])
+        assert closing_plus_one <= midpoints <= 2 * closing_plus_one + len(cloud)
+        assert midpoints < int(np.sum(values < SQRT2 * lb.t_max)) / 2
+
+    def test_empty_lifebar_solves_every_edge(self, monkeypatch):
+        cloud = add_noise(torus_normal(12, 12), 0.03, 0)
+        rows = self._solved_rows(monkeypatch)
+        lb = lifebar(cloud)
+        assert lb.empty
+        iu, ju = np.triu_indices(len(cloud), k=1)
+        below = int(np.sum(cloud.distance_matrix()[iu, ju] / 2.0 < SQRT2 * lb.t_max))
+        assert rows[0] == len(cloud) and sum(rows[1:]) == below
+        assert len(rows) > 2  # more than one block
 
     @pytest.mark.parametrize("make", [
         lambda: circle_tautological(40, 1.0),

@@ -225,6 +225,13 @@ def _corrupt(obj, where):
         obj["m"] = "2"
     elif where == "document":
         return [obj]
+    elif where in ("x object", "A object"):
+        obj["points"][2][where[0]] = {"a": 1}
+    elif where == "v object":
+        for p in obj["points"]:
+            p["v"] = [1.0, 0.0]
+            del p["A"]
+        obj["points"][2]["v"] = {"a": 1}
     else:
         obj["gamma"] = float("nan")
     return obj
@@ -242,6 +249,9 @@ def _corrupt(obj, where):
     ("n", "'n' must be an integer, got 2.5"),
     ("m", "'m' must be an integer, got '2'"),
     ("document", "cloud must be a JSON object, got list"),
+    ("x object", "point 2 has a non-numeric 'x'"),
+    ("A object", "point 2 has a non-numeric 'A'"),
+    ("v object", "point 2 has a non-numeric 'v'"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"

@@ -8,6 +8,7 @@ from swbundle.grassmann import (
     GrassmannPoint,
     MatrixPoint,
     MedialAxisError,
+    eigh_descending,
     gamma_dist,
     jacobi_eigh,
     jacobi_eigh_batch,
@@ -101,6 +102,41 @@ class TestJacobi:
             assert np.allclose(vals[i], single.eigenvalues, atol=1e-10)
             rec = vecs[i] @ np.diag(vals[i]) @ vecs[i].T
             assert np.abs(rec - S[i]).max() <= 1e-10 * (1 + np.linalg.norm(S[i]))
+
+
+def assert_matches_jacobi(S):
+    """eigh_descending against the Jacobi oracle on a symmetric stack: the
+    eigenvalues within 1e-12 times the norm, and the top vectors equal up to
+    sign wherever the top eigen-gap exceeds 1e-6."""
+    vals, vecs = eigh_descending(S)
+    ref_vals, ref_vecs = jacobi_eigh_batch(S)
+    norms = np.linalg.norm(S, axis=(1, 2))
+    assert np.all(np.abs(vals - ref_vals).max(axis=1) <= 1e-12 * norms)
+    gaps = ref_vals[:, 0] - ref_vals[:, 1]
+    top, ref_top = vecs[:, :, 0], ref_vecs[:, :, 0]
+    sign = np.where(np.einsum("ij,ij->i", top, ref_top) < 0.0, -1.0, 1.0)
+    err = np.abs(sign[:, None] * top - ref_top).max(axis=1)
+    gapped = gaps > 1e-6  # there the top vector is determined to about eps * norm / gap
+    assert np.all(err[gapped] <= 1e-12 * norms[gapped] / gaps[gapped])
+
+
+class TestEighDescending:
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_jacobi_on_random_stacks(self, rng, m):
+        S = rng.normal(size=(200, m, m))
+        assert_matches_jacobi((S + S.transpose(0, 2, 1)) / 2.0)
+
+    def test_matches_jacobi_on_cross_check_clouds(self):
+        from test_bundle import CROSS_CHECK_CLOUDS
+
+        for make in CROSS_CHECK_CLOUDS.values():
+            mats = make().mats
+            assert_matches_jacobi((mats + mats.transpose(0, 2, 1)) / 2.0)
+
+    def test_single_matrix_descending(self):
+        vals, vecs = eigh_descending(np.diag([1.0, 3.0, 2.0]))
+        assert vals.tolist() == [3.0, 2.0, 1.0]
+        assert np.array_equal(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
 
 class TestProjection:
