@@ -148,10 +148,7 @@ class LiftedCloud:
             "n": self.n,
             "m": self.m,
             "gamma": self.gamma,
-            "points": [
-                {"x": list(self.xs[i]), "A": [list(r) for r in self.mats[i]]}
-                for i in range(len(self))
-            ],
+            "points": [{"x": x, "A": A} for x, A in zip(self.xs.tolist(), self.mats.tolist())],
         }
 
     @classmethod
@@ -165,10 +162,21 @@ class LiftedCloud:
         if type(obj["gamma"]) not in (int, float):
             raise ValueError(f"'gamma' must be a number, got {obj['gamma']!r}")
         n, m, gamma = int(obj["n"]), int(obj["m"]), float(obj["gamma"])
-        if not isinstance(obj["points"], list):
-            raise ValueError(f"'points' must be a list, got {type(obj['points']).__name__}")
+        points = obj["points"]
+        if not isinstance(points, list):
+            raise ValueError(f"'points' must be a list, got {type(points).__name__}")
+        if points and all(isinstance(p, dict) and "A" in p for p in points):
+            try:
+                xs = np.array([p["x"] for p in points], dtype=float)
+                mats = np.array([p["A"] for p in points], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                pass  # the loop below words the error
+            else:
+                if xs.shape == (len(points), n) and mats.shape == (len(points), m, m):
+                    return cls(xs, mats, gamma)
+        # line directions "v", or an error to word, point by point
         xs, mats = [], []
-        for k, p in enumerate(obj["points"]):
+        for k, p in enumerate(points):
             if not isinstance(p, dict):
                 raise ValueError(f"point {k} must be an object, got {type(p).__name__}")
             x = _point_field(p, k, "x")

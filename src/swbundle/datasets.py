@@ -155,8 +155,8 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
 
 def save_cloud(cloud: LiftedCloud, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(cloud.to_json_obj(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # dumps, not dump: only a one-shot encode takes the C encoder
+        fh.write(json.dumps(cloud.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_cloud(path: str) -> LiftedCloud:

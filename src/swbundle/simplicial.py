@@ -8,6 +8,7 @@ records the provenance of each new vertex in ``vertex_names``.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -233,22 +234,34 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     """Barcode in degrees 0..max_dim (at most 1) of the flag filtration of D.
 
     The intervals equal those of ``barcode(rips_filtration(D, max_value, 2),
-    max_dim)``, but no triangle is ever built.  H0 comes from Kruskal's
-    union-find over the edges in filtration order.  H1 comes from persistent
+    max_dim)``, but no triangle is ever built.  max_value is first capped at
+    the enclosing radius min_i max_j D[i, j] / 2: from there on every flag
+    complex is a cone on the centre i, so every H1 class has died, one H0
+    bar is left, and later edges only add zero-length pairs.  H0 comes from
+    Kruskal's union-find over the edges in filtration order, which stops at
+    the n - 1 merges of a spanning tree.  H1 comes from persistent
     cohomology (de Silva, Morozov & Vejdemo-Johansson, arXiv 1107.5665) in
-    the manner of Ripser (Bauer, arXiv 1908.02518): edge coboundaries are
-    enumerated from the edge rank matrix and reduced from the latest edge to
-    the earliest, spanning-tree edges are cleared, and apparent pairs are
-    taken without reduction.
+    the manner of Ripser (Bauer, arXiv 1908.02518); see ``_h1_bars``.
     """
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
     n, iu, ju, values = _flag_edges(D, max_value)
+    # the centre of the enclosing radius is a vertex of full degree; its
+    # distances are read off the upper triangle, as the edge values are
+    centres = np.flatnonzero(np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1)
+    if values and centres.size:
+        D = np.asarray(D, dtype=float)
+        rows = np.where(np.arange(n) > centres[:, None], D[centres], D[:, centres].T)
+        E = bisect.bisect_right(values, rows.max(axis=1).min() / 2.0)
+        iu, ju, values = iu[:E], ju[:E], values[:E]
 
     parent = list(range(n))
     tree = np.zeros(len(values), dtype=bool)
     bars: list[tuple] = []
+    merges = 0
     for e, (a, b) in enumerate(zip(iu.tolist(), ju.tolist())):
+        if merges == n - 1:
+            break
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -256,9 +269,10 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
         if a != b:
             parent[a] = b
             tree[e] = True
+            merges += 1
             if values[e] > 0.0:
                 bars.append((0, 0.0, values[e]))
-    bars += [(0, 0.0, INF)] * (n - int(tree.sum()))
+    bars += [(0, 0.0, INF)] * (n - merges)
     if max_dim == 1 and values:
         bars += _h1_bars(n, iu, ju, values, tree)
     bars.sort()
@@ -270,53 +284,62 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     order, are (iu[r], ju[r]) with values[r]; tree marks the H0 deaths.
 
     A triangle is keyed by its edge ranks in descending order, packed into
-    one int64, so that key order is a filtration order.  A column is a
-    sorted key array and its pivot is its smallest key (its earliest coface).
+    one int64, so that key order is a filtration order.  Edge e's column is
+    its coboundary, a sorted key array, and its pivot is its smallest key
+    (its earliest coface).  Columns are reduced from the latest edge to the
+    earliest; tree edges are cleared.  Edge e is apparent when some vertex k
+    has max(R[a, k], R[b, k]) < e: its earliest coface then has e as its
+    latest edge, a zero-length pair that needs no reduction.  A scan records
+    mid[e] = min_k max(R[a, k], R[b, k]) for every other edge, and only
+    that.  A pivot with ranks (t, m, l) is the first key of coboundary(t),
+    and so an apparent pair's pivot, iff mid[t] == m: rank m fixes the
+    triangle's third vertex.  Only then is coboundary(t) built, to be
+    added; a lookup that finds no column builds nothing.
     """
     E = len(values)
     if E ** 3 > 2 ** 63:
         raise ValueError(f"{E} edges: triangle keys would overflow int64")
     E2 = E * E
-    R = np.full((n, n), E, dtype=np.int32)  # edge rank, E where there is no edge
-    ranks = np.arange(E, dtype=np.int32)
+    ranks = np.arange(E)
+    # R[a, b]: the rank of edge ab, E where there is none; int16 holds them
+    # all when E < 2 ** 15, and halves the scan's memory traffic
+    R = np.full((n, n), E, dtype=np.int16 if E < 2 ** 15 else np.int32)
     R[iu, ju] = ranks
     R[ju, iu] = ranks
+    mid = np.full(E, E)
+    todo = np.flatnonzero(~tree)
+    # small blocks: one past the allocator's mmap threshold is mapped and faulted in anew
+    chunk = max(1, (1 << 16) // n)
+    for start in range(0, todo.size, chunk):
+        rows = todo[start: start + chunk]
+        mid[rows] = np.maximum(R[iu[rows]], R[ju[rows]]).min(axis=1)
+    apparent = mid < ranks
+    R = R.astype(np.int64)  # keys reach E ** 3
+    iu, ju, mid = iu.tolist(), ju.tolist(), mid.tolist()
 
     def coboundary(e: int) -> np.ndarray:
         ra, rb = R[iu[e]], R[ju[e]]
         hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
         keep = hi < E
-        hi, lo = hi[keep].astype(np.int64), lo[keep].astype(np.int64)
+        hi, lo = hi[keep], lo[keep]
         keys = np.maximum(hi, e) * E2 + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
         keys.sort()
         return keys
 
-    # Edge e is apparent when its earliest coface has e as its latest edge,
-    # i.e. some k has max(R[a, k], R[b, k]) < e.  That pair has zero length;
-    # its pivot is registered with the edge, whose coboundary (already
-    # reduced) is rebuilt if an earlier column reaches that pivot.
-    pivots: dict = {}
-    apparent = np.zeros(E, dtype=bool)
-    chunk = max(1, (1 << 18) // n)
-    for start in range(0, E, chunk):
-        r = ranks[start: start + chunk].astype(np.int64)  # keys reach E ** 3
-        ra, rb = R[iu[start: start + chunk]], R[ju[start: start + chunk]]
-        hi = np.maximum(ra, rb)
-        rest = hi.astype(np.int64) * E + np.minimum(ra, rb)  # coface key less e * E2
-        rest[hi >= r[:, None]] = E2
-        first = rest.min(axis=1)
-        found = first < E2
-        apparent[start: start + chunk] = found
-        pivots.update(zip((r[found] * E2 + first[found]).tolist(),
-                          r[found].tolist()))
+    pivots: dict = {}  # pivot -> reduced column, or its (window, runs, inbox) until first read
 
-    def registered(pivot: int):
-        other = pivots.get(pivot)
-        return coboundary(other) if isinstance(other, int) else other
+    def lookup(pivot: int):
+        col = pivots.get(pivot)
+        if col is None:
+            top = pivot // E2
+            return coboundary(top) if mid[top] == pivot // E % E else None
+        if isinstance(col, tuple):
+            col = pivots[pivot] = _materialise(*col)
+        return col
 
     bars = []
-    for e in np.nonzero(~(tree | apparent))[0][::-1].tolist():
-        pivot, col = _reduce_column(coboundary(e), registered)
+    for e in np.flatnonzero(~(tree | apparent))[::-1].tolist():
+        pivot, col = _reduce_column(coboundary(e), lookup)
         if pivot is None:
             bars.append((1, values[e], INF))
             continue
@@ -327,44 +350,79 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     return bars
 
 
-def _reduce_column(col: np.ndarray, registered):
-    """Add registered columns to col until its pivot is unregistered.
+# a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox
+WINDOW = 512
 
-    Returns (pivot, reduced column), or (None, None) when the column
-    vanishes.  The column is held as head[start:] XOR buf: an added column
-    is small and goes into buf, which is merged into head only once it
-    outgrows sqrt(64 |head|), so a long column is not copied per addition.
-    Factors from 16 to 1024 time alike; merging at every addition makes the
-    flag-barcode requests about a third slower.
+
+def _reduce_column(col: np.ndarray, lookup):
+    """Add the columns that lookup returns to col until its pivot has none.
+
+    Returns (pivot, (window, runs, inbox)), the column still in pieces (see
+    ``_materialise``), or (None, None) when the column vanishes.  Only the
+    keys below a limit, the window, are merged into one sorted array, and
+    the pivot is its first key.  The parts of added columns at or past the
+    limit go unmerged into the inbox.  Once every window key has cancelled,
+    the inbox is sorted into one run, and a run is merged into the run
+    before it once it is at least half as long, so a key is copied O(log)
+    times.  The next window then takes the keys below a new limit, at most
+    WINDOW from each run.  A long column's tail is thus not re-merged at
+    each addition, and a column that no later lookup reads is never merged
+    in full.
     """
-    head, start, buf = col, 0, col[:0]
+    win, runs, inbox, limit = col, [], [], None
     while True:
-        while start < head.size and buf.size and head[start] == buf[0]:
-            start += 1
-            buf = buf[1:]
-        if start < head.size and not (buf.size and buf[0] < head[start]):
-            pivot = int(head[start])
-        elif buf.size:
-            pivot = int(buf[0])
-        else:
-            return None, None
-        other = registered(pivot)
+        if win.size > 2 * WINDOW:
+            inbox.append(win[WINDOW:])
+            limit = int(win[WINDOW])
+            win = win[:WINDOW]
+        elif not win.size:
+            if inbox:
+                runs.append(_odd_keys(inbox))
+                inbox = []
+                while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
+                    last = runs.pop()
+                    runs[-1] = _xor_sorted(runs[-1], last)
+            runs = [r for r in runs if r.size]
+            if not runs:
+                return None, None
+            limit = min((int(r[WINDOW]) for r in runs if r.size > WINDOW), default=None)
+            cuts = [r.size if limit is None else int(r.searchsorted(limit)) for r in runs]
+            win = _odd_keys([r[:c] for r, c in zip(runs, cuts)])
+            runs = [r[c:] for r, c in zip(runs, cuts) if c < r.size]
+            continue
+        pivot = int(win[0])
+        other = lookup(pivot)
         if other is None:
-            return pivot, _xor_sorted(head[start:], buf)
-        buf = _xor_sorted(buf, other)
-        if buf.size ** 2 > 64 * (head.size - start):
-            head, start, buf = _xor_sorted(head[start:], buf), 0, buf[:0]
+            return pivot, (win, runs, inbox)
+        if limit is not None:
+            cut = int(other.searchsorted(limit))
+            if cut < other.size:
+                inbox.append(other[cut:])
+                other = other[:cut]
+        win = _xor_sorted(win, other)
+
+
+def _materialise(win: np.ndarray, runs: list, inbox: list) -> np.ndarray:
+    """The sorted column held as a window and the unmerged keys past it."""
+    if not runs and not inbox:
+        return win
+    return np.concatenate((win, _odd_keys(runs + inbox)))
+
+
+def _odd_keys(parts: list) -> np.ndarray:
+    """The keys that occur an odd number of times in all the arrays of parts, sorted."""
+    z = np.sort(np.concatenate(parts))
+    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
+    odd = np.diff(np.append(start, z.size)) % 2 == 1
+    return z[start[odd]]
 
 
 def _xor_sorted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetric difference of two sorted arrays of distinct keys, sorted."""
     z = np.concatenate((x, y))
     z.sort(kind="stable")  # a merge of two sorted runs
-    dup = z[1:] == z[:-1]
-    keep = np.ones(z.size, dtype=bool)
-    keep[1:] &= ~dup
-    keep[:-1] &= ~dup
-    return z[keep]
+    new = np.concatenate(([True], z[1:] != z[:-1], [True]))
+    return z[new[1:] & new[:-1]]
 
 
 def clique_complex(edges: Iterable[tuple], n_vertices: int, max_dim: int) -> SimplicialComplex:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -198,3 +199,22 @@ class TestGenerateDispatch:
         assert back.gamma == cloud.gamma
         assert np.allclose(back.xs, cloud.xs)
         assert np.allclose(back.mats, cloud.mats)
+
+    def test_file_bytes_and_exact_roundtrip(self, tmp_path):
+        cloud = add_noise(generate(GeneratorSpec("klein_normal", 4, count2=4, gamma=0.7)), 0.03, 1)
+        path = tmp_path / "cloud.json"
+        save_cloud(cloud, path)
+        # the pure-Python encoder, which json.dump uses, writes the same bytes
+        encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+        assert path.read_text() == "".join(encoder.iterencode(cloud.to_json_obj())) + "\n"
+        back = load_cloud(path)
+        assert np.array_equal(back.xs, cloud.xs) and np.array_equal(back.mats, cloud.mats)
+
+    def test_matrix_and_direction_points_mixed(self):
+        obj = {"n": 1, "m": 2, "gamma": 1.0, "points": [
+            {"x": [0.0], "A": [[1.0, 0.0], [0.0, 0.0]]},
+            {"x": [1.0], "v": [0.0, 2.0]},
+        ]}
+        cloud = LiftedCloud.from_json_obj(obj)
+        assert np.array_equal(cloud.xs, [[0.0], [1.0]])
+        assert np.allclose(cloud.mats, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])

@@ -1,11 +1,19 @@
 """rips_barcode against the reference column reduction over stored triangles."""
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from swbundle.datasets import circle_normal, circle_tautological
+from swbundle import cli, simplicial
+from swbundle.datasets import add_noise, circle_normal, circle_tautological, klein_normal
 from swbundle.simplicial import rips_barcode, rips_filtration
-from swbundle.z2 import INF, barcode
+from swbundle.z2 import INF, Barcode, barcode
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def reference(D, max_value, max_dim):
@@ -67,6 +75,93 @@ def test_keys_past_int32(rng):
     pts = np.c_[np.cos(theta), np.sin(theta)] + 0.1 * rng.normal(size=(60, 2))
     D = distances(pts)
     assert_matches_reference(D, float(D.max()))
+
+
+def test_threshold_above_enclosing_radius(rng):
+    for _ in range(10):
+        D = distances(random_cloud(rng, "plain"))
+        radius = D.max(axis=1).min() / 2.0
+        for max_value in (radius, 1.5 * radius, float(D.max())):
+            assert_matches_reference(D, max_value)
+        assert rips_barcode(D, float(D.max())).intervals == rips_barcode(D, radius).intervals
+
+
+def test_enclosing_radius_of_an_asymmetric_matrix():
+    # three points on a line, centre 1; the edge values are read off the
+    # upper triangle, which here exceeds the lower one by 1e-12 or 2e-12.
+    # A cap read off the rows of D would drop the edge (0, 1) of the cone.
+    D = np.array([[0.0, 1.0 + 2e-12, 2.0], [1.0, 0.0, 1.0 + 1e-12], [2.0, 1.0, 0.0]])
+    assert_matches_reference(D, 2.0)
+    assert rips_barcode(D, 2.0).intervals == ((0, 0.0, 0.5 + 5e-13), (0, 0.0, 0.5 + 1e-12), (0, 0.0, INF))
+
+
+@pytest.mark.parametrize("window", [1, 2, 8])
+def test_small_windows(rng, monkeypatch, window):
+    # a narrow window sends short columns through the runs and the inbox
+    monkeypatch.setattr(simplicial, "WINDOW", window)
+    for kind in ("plain", "rounded", "duplicates"):
+        for _ in range(10):
+            D = distances(random_cloud(rng, kind))
+            assert_matches_reference(D, float(rng.uniform(0.5, 1.0)) * float(D.max()))
+
+
+def test_long_column_read_by_an_earlier_one(monkeypatch):
+    # noisy Klein 8x8 with all edges: a column outgrows its window, and an
+    # earlier edge's column later reaches its pivot and reads it in full
+    tails = []
+    materialise = simplicial._materialise
+
+    def counted(win, runs, inbox):
+        tails.append(bool(runs or inbox))
+        return materialise(win, runs, inbox)
+
+    monkeypatch.setattr(simplicial, "_materialise", counted)
+    D = add_noise(klein_normal(8, 8), 0.05, seed=4).distance_matrix()
+    assert_matches_reference(D, float(D.max()))
+    assert any(tails)
+
+
+@pytest.mark.parametrize("n", [7, 12, 20, 33, 40])
+def test_uniform_circles_with_ties(n):
+    # equally spaced points: every edge length occurs n times
+    D = circle_tautological(n).distance_matrix()
+    assert_matches_reference(D, float(D.max()))
+    assert_matches_reference(D, 0.6 * float(D.max()))
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BARCODE_FLAG = _load_bench("workloads").build("barcode-flag", 0)
+
+
+@pytest.fixture(scope="module")
+def barcode_flag_clouds(tmp_path_factory):
+    out = tmp_path_factory.mktemp("barcode-flag")
+    for name, gen_args in BARCODE_FLAG.clouds.items():
+        assert cli.main(["generate", *gen_args, "--output", str(out / f"{name}.json")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("request_", BARCODE_FLAG.requests, ids=lambda r: r.name)
+def test_barcode_flag_references(barcode_flag_clouds, tmp_path, request_):
+    out = tmp_path / "out.json"
+    argv = [request_.command, "--input", str(barcode_flag_clouds / f"{request_.cloud}.json"),
+            *request_.args, "--output", str(out), "--render", "json"]
+    assert cli.main(argv) == 0
+    got = sorted(Barcode.from_json(out.read_text()).intervals)
+    want = json.loads((BENCH / "refs" / "barcodes.json").read_text())[request_.name]
+    assert len(got) == len(want)
+    for (dim, birth, death), (ref_dim, ref_birth, ref_death) in zip(got, sorted(
+            (d, b, INF if e is None else e) for d, b, e in want)):
+        assert dim == ref_dim
+        assert birth == pytest.approx(ref_birth, abs=1e-9)
+        assert death == ref_death or death == pytest.approx(ref_death, abs=1e-9)
 
 
 @pytest.mark.parametrize("max_dim", [-1, 2])
