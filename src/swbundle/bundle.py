@@ -46,7 +46,6 @@ from .projective import ProjectiveTriangulation
 from .simplicial import (
     SimplicialComplex,
     FilteredComplex,
-    _flag_edges,
     barycentric_subdivision,
     is_simplicial_map,
     pullback_cochain,
@@ -155,6 +154,9 @@ class LiftedCloud:
     def from_json_obj(cls, obj: dict) -> "LiftedCloud":
         if not isinstance(obj, dict):
             raise ValueError(f"cloud must be a JSON object, got {type(obj).__name__}")
+        for key in ("n", "m", "gamma", "points"):
+            if key not in obj:
+                raise ValueError(f"cloud is missing '{key}'")
         for key in ("n", "m"):
             size = obj[key]
             if not (type(size) is int or type(size) is float and size.is_integer()):
@@ -202,6 +204,8 @@ class LiftedCloud:
 
 def _point_field(point: dict, k: int, key: str) -> np.ndarray:
     """point[key] as a float array, or ValueError naming point k and the field."""
+    if key not in point:
+        raise ValueError(f"point {k} is missing '{key}'")
     try:
         return np.asarray(point[key], dtype=float)
     except TypeError as err:
@@ -229,23 +233,25 @@ def rips_index_bound(cloud: LiftedCloud) -> float:
 def checked_index_bound(cloud: LiftedCloud) -> float:
     """rips_index_bound, or MedialAxisError naming the first point whose
     eigen-gap is at most GAP_TOLERANCE (it has no line; the index set is empty)."""
-    return _point_lines(cloud)[1]
+    return _point_lines(cloud)[2]
 
 
-def _point_lines(cloud: LiftedCloud) -> tuple[np.ndarray, float]:
-    """The points' top eigenvectors and checked_index_bound, from one eigensolve."""
+def _point_lines(cloud: LiftedCloud) -> tuple[np.ndarray, np.ndarray, float]:
+    """The points' top eigenvectors, eigen-gaps and checked_index_bound, from
+    one eigensolve."""
     u, gaps = _top_eigenvectors(cloud.mats, "point")
-    return u, tmax_from_gaps(gaps, cloud.gamma) / SQRT2
+    return u, gaps, tmax_from_gaps(gaps, cloud.gamma) / SQRT2
 
 
 def _top_eigenvectors(
-    mats: np.ndarray, noun: str, first: int = 0, solve=None
+    mats: np.ndarray, noun: str, ids: Optional[np.ndarray] = None, solve=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvectors and eigen-gaps of the symmetric parts of a stack of
-    matrices, or MedialAxisError naming the first (point or vertex) whose
-    eigen-gap is at most GAP_TOLERANCE, numbered from first; ValueError for
-    1 x 1 matrices.  solve (default eigh_descending) returns eigenvalues in
-    descending order with the matching columns."""
+    matrices, or MedialAxisError naming the first (point, vertex or edge)
+    whose eigen-gap is at most GAP_TOLERANCE, by its entry of ids (default:
+    its position); ValueError for 1 x 1 matrices.  solve (default
+    eigh_descending) returns eigenvalues in descending order with the
+    matching columns."""
     m = mats.shape[1]
     if m < 2:
         raise ValueError(f"d = 1 out of range for m = {m}: a {m} x {m} matrix part has no line")
@@ -253,9 +259,9 @@ def _top_eigenvectors(
     gaps = vals[:, 0] - vals[:, 1]
     bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
     if bad.size:
+        k = int(bad[0] if ids is None else ids[bad[0]])
         raise MedialAxisError(
-            f"{noun} {first + int(bad[0])} has eigen-gap {gaps[bad[0]]:.3e}: "
-            "matrix part on the medial axis"
+            f"{noun} {k} has eigen-gap {gaps[bad[0]]:.3e}: matrix part on the medial axis"
         )
     return vecs[:, :, 0], gaps
 
@@ -463,39 +469,138 @@ class Lifebar:
         return json.dumps(self.to_json_obj())
 
 
+def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
+    """The flag filtration's edges of value at most max_value, block by block.
+
+    Yields (i, j, values) blocks which, joined, are _flag_edges(
+    cloud.distance_matrix(), max_value) to the bit: the pairs i < j in
+    filtration order (value, i, j), with the values distance_matrix gives.
+    Only the pairs that pass a loose screen of the squared distances get
+    exact values, and each block is ordered only when it is read: the first
+    holds the `first` smallest values, each later one twice as many as the
+    one before, and every block also takes the values tied with its last.
+    """
+    emb = cloud.embedding()
+    sq = np.sum(emb * emb, axis=1)
+    G = emb @ emb.T
+    # a loose screen of D2 = sq_i + sq_j - 2 G_ij <= screen: a value at most
+    # max_value has min(D2[i, j], D2[j, i]) <= (2 max_value)^2 up to rounding,
+    # D2[i, j] and D2[j, i] differ by the gemm rounding of G, within
+    # (4 k + 8) eps max|emb|^2 for rows of length k, and the screen's own
+    # rounding is within 4 eps max|emb|^2
+    eps = np.finfo(float).eps
+    screen = (2.0 * max_value) ** 2 * (1.0 + 1e-9) + 8.0 * (emb.shape[1] + 2) * eps * sq.max()
+    half, n = sq / 2.0, len(sq)
+    flat = np.flatnonzero(np.add.outer(half, half - screen / 2.0) <= G)  # row-major order
+    i, j = np.divmod(flat, n)
+    upper = i < j
+    flat, i, j = flat[upper], i[upper], j[upper]
+    s = sq[i] + sq[j]  # distance_matrix's D2 and (D + D.T) / 2, at the pairs kept
+    G = G.ravel()
+    a, b = np.maximum(s - 2.0 * G[flat], 0.0), np.maximum(s - 2.0 * G[j * n + i], 0.0)
+    values = (np.sqrt(a) + np.sqrt(b)) / 2.0 / 2.0
+    keep = values <= max_value
+    i, j, values = i[keep], j[keep], values[keep]
+    size = first
+    while values.size:
+        if size < values.size:
+            take = values <= np.partition(values, size - 1)[size - 1]
+            rest = ~take
+            block = i[take], j[take], values[take]
+            i, j, values = i[rest], j[rest], values[rest]
+        else:
+            block, values = (i, j, values), values[:0]
+        order = np.argsort(block[2], kind="stable")
+        yield block[0][order], block[1][order], block[2][order]
+        size *= 2
+
+
+# relative margin of the chord certificate against the rounding of the
+# eigen-gaps and of |A_i - A_j|_F; it keeps |u_i . u_j| above 7e-4
+CHORD_MARGIN = 1e-6
+
+
+def _chord_certified(mats: np.ndarray, gaps: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The edges ij with sqrt(2) |A_i - A_j|_F < max(g_i, g_j), with a
+    relative margin: their flip is u_i . u_j < 0 (see lifebar)."""
+    dA = mats[i] - mats[j]
+    chord2 = np.einsum("kab,kab->k", dA, dA)
+    return 2.0 * (1.0 + CHORD_MARGIN) * chord2 < np.maximum(gaps[i], gaps[j]) ** 2
+
+
+def _edge_flips(mats, u, gaps, i, j, first: int = 0) -> np.ndarray:
+    """Whether the fiber line flips along each edge ij below the bound: by
+    the chord certificate, or else by the midpoint rule (see lifebar).  The
+    midpoints are numbered from first in MedialAxisError."""
+    flips = np.einsum("ij,ij->i", u[i], u[j]) < 0.0
+    long = np.flatnonzero(~_chord_certified(mats, gaps, i, j))
+    if long.size:
+        li, lj = i[long], j[long]
+        mid, _ = _top_eigenvectors((mats[li] + mats[lj]) / 2.0, "edge midpoint", first + long)
+        flips[long] = np.einsum("ij,ij->i", u[li], mid) * np.einsum("ij,ij->i", mid, u[lj]) < 0.0
+    return flips
+
+
 def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     """The exact onset of the first persistent class, from a parity sweep.
 
     The class at index t is nonzero iff the flag graph at scale sqrt(2) * t
     has a cycle with an odd number of edges along which the fiber line
     flips.  The edges below scale sqrt(2) * t_max enter a parity union-find
-    in filtration order.  If the edge of value v first closes an odd cycle,
+    in filtration order (see _closing_value).  If the edge of value v first closes an odd cycle,
     the class turns nonzero at t*, the smallest double with SQRT2 * t* >= v,
     and t_dagger = nextafter(t*, 0).  resolution is validated, not used.
 
     Edge ij flips iff (u_i . m_ij)(m_ij . u_j) < 0, with u_i the top
     eigenvector of sym(A_i) and m_ij that of sym((A_i + A_j) / 2).  This
-    holds for any matrix payload.  Below the bound, |A_i - A_j|_F < sqrt(2) g
-    for every point's eigen-gap g, so each half of the segment stays within
-    g / sqrt(2) of its endpoint.  At B = A_i + E there, a top eigenvector w
-    of sym(B) orthogonal to u_i would need w'Ew - u_i'Eu_i >= g, but that
-    difference is at most sqrt(2) |E|_F < g.  So the top line of each half
-    is simple and never orthogonal to its endpoint's, and the two signs give
-    the fiber's transport.  Nor can a midpoint below the bound lie within
-    GAP_TOLERANCE of the medial axis: the MedialAxisError check asserts this
-    on the midpoints solved, and a midpoint past the closing edge is neither
-    solved nor checked.
+    holds for any matrix payload.  At B = A_i + E, a top eigenvector w of
+    sym(B) orthogonal to u_i would need w'Ew - u_i'Eu_i >= g_i, the
+    eigen-gap of A_i, but that difference is at most sqrt(2) |E|_F.  Below
+    the bound, |A_i - A_j|_F < sqrt(2) g for every point's gap g, so each
+    half of the segment stays within g / sqrt(2) of its endpoint: the top
+    line of each half is simple and never orthogonal to its endpoint's, and
+    the two signs give the fiber's transport.  Nor can a midpoint below the
+    bound lie within GAP_TOLERANCE of the medial axis: the MedialAxisError
+    check asserts this on the midpoints solved.
 
-    The midpoints are solved and signed block by block in filtration order,
-    only as far as the sweep reads: the first block has max(n, 64) edges
-    and each later one twice as many, so at most twice the edges up to the
-    closing one plus one block are solved, in O(log E) solver calls.  An
-    empty lifebar solves every edge below the bound.
+    Chord certificate: if sqrt(2) |A_i - A_j|_F < max(g_i, g_j), the same
+    argument holds on the whole segment from the endpoint of larger gap, so
+    its top line never turns orthogonal to that endpoint's and the edge
+    flips iff u_i . u_j < 0, with no midpoint solve.  A relative margin of
+    CHORD_MARGIN guards the test against rounding.  Only the other, long
+    edges have their midpoints solved and checked.
+
+    The edges are listed and ordered lazily (see _edge_blocks), block by
+    block in filtration order, only as far as the sweep reads: the first
+    block has max(n, 64) edges and each later one twice as many, plus ties,
+    so at most about twice the edges up to the closing one plus one block
+    are ordered and signed.  An empty lifebar solves every long edge below
+    the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    u, bound = _point_lines(cloud)
-    n, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
+    u, gaps, bound = _point_lines(cloud)
+    value = _closing_value(cloud, u, gaps, math.nextafter(SQRT2 * bound, 0.0))
+    if value is None:
+        return Lifebar(bound, None, resolution)
+    t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
+    while SQRT2 * t_star < value:
+        t_star = math.nextafter(t_star, math.inf)
+    while t_star > 0.0 and SQRT2 * math.nextafter(t_star, 0.0) >= value:
+        t_star = math.nextafter(t_star, 0.0)
+    # t_star can round up to the bound itself, outside the index set
+    return Lifebar(bound, math.nextafter(t_star, 0.0) if t_star < bound else None, resolution)
+
+
+def _closing_value(cloud: LiftedCloud, u, gaps, max_value: float) -> Optional[float]:
+    """The value of the first edge, in filtration order up to max_value, that
+    closes a cycle with an odd number of flips; None if no edge does.
+
+    A parity union-find takes the edges until the graph is connected; from
+    then on every vertex has a fixed parity to the one root, and each later
+    edge closes an odd cycle iff its flip differs from its ends' parities.
+    """
+    n = len(cloud)
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
 
     def find(a: int):
@@ -508,24 +613,27 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
             a = parent[a]
         return a, odd
 
-    lo, size = 0, max(n, 64)
-    while lo < len(values):
-        block = slice(lo, lo + size)
-        bi, bj = iu[block], ju[block]
-        mid, _ = _top_eigenvectors((cloud.mats[bi] + cloud.mats[bj]) / 2.0, "edge midpoint", lo)
-        flips = np.einsum("ij,ij->i", u[bi], mid) * np.einsum("ij,ij->i", mid, u[bj]) < 0.0
-        for i, j, flip, value in zip(bi.tolist(), bj.tolist(), flips.tolist(), values[block]):
-            (ri, pi), (rj, pj) = find(i), find(j)
-            if ri != rj:
-                parent[ri], parity[ri] = rj, pi ^ pj ^ flip
-            elif pi ^ pj ^ flip:
-                t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
-                while SQRT2 * t_star < value:
-                    t_star = math.nextafter(t_star, math.inf)
-                while t_star > 0.0 and SQRT2 * math.nextafter(t_star, 0.0) >= value:
-                    t_star = math.nextafter(t_star, 0.0)
-                # t_star can round up to the bound itself, outside the index set
-                t_dagger = math.nextafter(t_star, 0.0) if t_star < bound else None
-                return Lifebar(bound, t_dagger, resolution)
-        lo, size = lo + size, 2 * size
-    return Lifebar(bound, None, resolution)
+    labels, merges, lo = None, 0, 0  # labels: each vertex's parity to the root, once connected
+    for bi, bj, values in _edge_blocks(cloud, max_value, max(n, 64)):
+        flips = _edge_flips(cloud.mats, u, gaps, bi, bj, lo)
+        lo += len(values)
+        start = 0
+        if labels is None:
+            for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
+                ri, pi = (i, 0) if parent[i] == i else find(i)
+                rj, pj = (j, 0) if parent[j] == j else find(j)
+                if ri != rj:
+                    parent[ri], parity[ri] = rj, pi ^ pj ^ flip
+                    merges += 1
+                    if merges == n - 1:
+                        labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
+                        start = e + 1
+                        break
+                elif pi ^ pj ^ flip:
+                    return float(values[e])
+            else:
+                continue  # not connected yet
+        odd = np.flatnonzero(labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:])
+        if odd.size:
+            return float(values[start + odd[0]])
+    return None

@@ -7,6 +7,8 @@ import pytest
 from swbundle.bundle import (
     LiftedCloud,
     SubdivisionLimitError,
+    _chord_certified,
+    _point_lines,
     build_bundle_filtration,
     checked_index_bound,
     hausdorff_distance,
@@ -29,6 +31,7 @@ from swbundle.grassmann import MedialAxisError, gamma_dist
 from swbundle.projective import rp_face_map, triangulate_rp
 from swbundle.simplicial import (
     SimplicialComplex,
+    _flag_edges,
     barycentric_subdivision,
     is_simplicial_map,
     pullback_cochain,
@@ -390,8 +393,9 @@ class TestLifebar:
         lb = lifebar(cloud, resolution=0.05)
         assert lb == expected
         # one eigensolve of the points gives both the bound and the lines;
-        # the odd cycle closes within the first block of 64 edge midpoints
-        assert calls == {"tmax": 0, "eigh_descending": 2, "distance_matrix": 1, "payloads": 0}
+        # the odd cycle closes within the first block of 64 edges, each of
+        # them certified by its chord, and no distance matrix is built
+        assert calls == {"tmax": 0, "eigh_descending": 1, "distance_matrix": 0, "payloads": 0}
 
     @staticmethod
     def _solved_rows(monkeypatch):
@@ -408,29 +412,47 @@ class TestLifebar:
         monkeypatch.setattr(bundle, "eigh_descending", counted)
         return rows
 
+    @staticmethod
+    def _long_edges_per_block(cloud):
+        """The values of the edges below the bound, the ends of lifebar's
+        blocks (the first max(N, 64) edges, then doubling, each block
+        extended over the values tied with its last) and the number of long
+        edges in each block."""
+        _, gaps, bound = _point_lines(cloud)
+        _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
+        values = np.array(values)
+        ends, size = [], max(len(cloud), 64)
+        while not ends or ends[-1] < len(values):
+            end = min((ends[-1] if ends else 0) + size, len(values))
+            ends.append(int(np.searchsorted(values, values[end - 1], side="right")))
+            size *= 2
+        long = [int(np.sum(~_chord_certified(cloud.mats, gaps, iu[lo:hi], ju[lo:hi])))
+                for lo, hi in zip([0] + ends[:-1], ends)]
+        return values, np.array(ends), long
+
     def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
-        cloud = add_noise(circle_tautological(240, 1.0), 0.02, 1)
+        # the canonical noisy Klein cloud: its odd cycle closes in the second
+        # of three blocks, and both blocks read hold long edges
+        cloud = add_noise(klein_normal(16, 16), 0.05, 0)
+        values, ends, long = self._long_edges_per_block(cloud)
         rows = self._solved_rows(monkeypatch)
         lb = lifebar(cloud)
         assert not lb.empty
-        iu, ju = np.triu_indices(len(cloud), k=1)
-        values = cloud.distance_matrix()[iu, ju] / 2.0  # the flag filtration's edge values
+        # the closing edge has a value in (SQRT2 * t_dagger, SQRT2 * t*]
         t_star = math.nextafter(lb.t_dagger, math.inf)
-        # the closing edge is the last with value <= SQRT2 * t_star (ties aside)
-        closing_plus_one = int(np.sum(values <= SQRT2 * t_star))
+        first = np.searchsorted(ends, np.sum(values <= SQRT2 * lb.t_dagger), side="right")
+        last = np.searchsorted(ends, np.sum(values <= SQRT2 * t_star) - 1, side="right")
+        assert first == last == 1 and len(ends) == 3
         assert rows[0] == len(cloud)  # the points
-        midpoints = sum(rows[1:])
-        assert closing_plus_one <= midpoints <= 2 * closing_plus_one + len(cloud)
-        assert midpoints < int(np.sum(values < SQRT2 * lb.t_max)) / 2
+        assert rows[1:] == long[:last + 1] and all(long[:last + 1])
 
-    def test_empty_lifebar_solves_every_edge(self, monkeypatch):
+    def test_empty_lifebar_solves_every_long_edge(self, monkeypatch):
         cloud = add_noise(torus_normal(12, 12), 0.03, 0)
+        _, _, long = self._long_edges_per_block(cloud)
         rows = self._solved_rows(monkeypatch)
         lb = lifebar(cloud)
         assert lb.empty
-        iu, ju = np.triu_indices(len(cloud), k=1)
-        below = int(np.sum(cloud.distance_matrix()[iu, ju] / 2.0 < SQRT2 * lb.t_max))
-        assert rows[0] == len(cloud) and sum(rows[1:]) == below
+        assert rows[0] == len(cloud) and rows[1:] == [k for k in long if k]
         assert len(rows) > 2  # more than one block
 
     @pytest.mark.parametrize("make", [

@@ -225,6 +225,9 @@ def _corrupt(obj, where):
         obj["m"] = "2"
     elif where == "document":
         return [obj]
+    elif where.startswith("no "):
+        for item in obj["points"] if where == "no x" else [obj]:
+            del item[where[3:]]
     elif where in ("x object", "A object"):
         obj["points"][2][where[0]] = {"a": 1}
     elif where == "v object":
@@ -252,6 +255,11 @@ def _corrupt(obj, where):
     ("x object", "point 2 has a non-numeric 'x'"),
     ("A object", "point 2 has a non-numeric 'A'"),
     ("v object", "point 2 has a non-numeric 'v'"),
+    ("no n", "cloud is missing 'n'"),
+    ("no m", "cloud is missing 'm'"),
+    ("no gamma", "cloud is missing 'gamma'"),
+    ("no points", "cloud is missing 'points'"),
+    ("no x", "point 0 is missing 'x'"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"

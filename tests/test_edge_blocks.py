@@ -1,0 +1,142 @@
+"""The lifebar's lazy edge list and chord certificate against their references.
+
+_edge_blocks must list the flag filtration's edges exactly as
+_flag_edges(cloud.distance_matrix(), v) does: the same pairs, in the same
+(value, i, j) order, with the same values to the bit.  The chord certificate
+must give the flip the midpoint rule gives on every edge below the bound.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from swbundle.bundle import (
+    SQRT2,
+    LiftedCloud,
+    _chord_certified,
+    _edge_blocks,
+    _edge_flips,
+    _point_lines,
+    _top_eigenvectors,
+)
+from swbundle.datasets import circle_normal
+from swbundle.simplicial import _flag_edges
+
+from test_bundle import CROSS_CHECK_CLOUDS, STRONG_NON_PROJECTOR_CLOUDS
+
+
+def _shifted(cloud, offset=1e3):
+    """The cloud moved by offset along every base axis: the Gram form of
+    the distances then cancels large terms."""
+    return LiftedCloud(cloud.xs + offset, cloud.mats, cloud.gamma)
+
+
+def _max_value(cloud):
+    """The largest edge value below the cloud's bound, as lifebar reads it."""
+    return math.nextafter(SQRT2 * _point_lines(cloud)[2], 0.0)
+
+
+EDGE_CLOUDS = {
+    **CROSS_CHECK_CLOUDS,
+    **{f"{name}-shifted": (lambda make=make: _shifted(make()))
+       for name, make in CROSS_CHECK_CLOUDS.items()},
+    # regular polygons: many exactly tied edge values
+    **{f"polygon-{k}-gamma-{g}": (lambda k=k, g=g: circle_normal(k, g))
+       for k in (12, 16, 30, 60) for g in (1.0, 2.0)},
+}
+
+
+def _assert_blocks_match(cloud, max_value, first):
+    n, iu, ju, values = _flag_edges(cloud.distance_matrix(), max_value)
+    assert n == len(cloud)
+    blocks = list(_edge_blocks(cloud, max_value, first))
+    if not values:
+        assert blocks == []
+        return
+    i, j, v = (np.concatenate(parts) for parts in zip(*blocks))
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+    assert v.tolist() == values  # to the bit
+    size = first
+    for (_, _, block), (_, _, later) in zip(blocks, blocks[1:]):
+        assert len(block) >= size  # only the last block may be short
+        assert block[-1] < later[0]  # ties are never split
+        size *= 2
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CLOUDS))
+def test_edge_blocks_match_flag_edges(name):
+    cloud = EDGE_CLOUDS[name]()
+    for first in (1, 7, max(len(cloud), 64)):
+        _assert_blocks_match(cloud, _max_value(cloud), first)
+
+
+def test_edge_blocks_at_antipodal_near_ties():
+    # the 30 antipodal edges of circle_normal(60, 2.0) have values within a
+    # few ulps of 1.0, the value of the closing edge; cut the list there
+    cloud = circle_normal(60, 2.0)
+    _, _, _, values = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    near = [v for v in values if abs(v - 1.0) <= 4 * math.ulp(1.0)]
+    assert len(near) == 30 and len(set(near)) > 1
+    for max_value in sorted(set(near)) + [_max_value(cloud)]:
+        for first in (1, 7, 64):
+            _assert_blocks_match(cloud, max_value, first)
+
+
+def _midpoint_flips(cloud, u, i, j):
+    mid, _ = _top_eigenvectors((cloud.mats[i] + cloud.mats[j]) / 2.0, "edge midpoint")
+    return np.einsum("ij,ij->i", u[i], mid) * np.einsum("ij,ij->i", mid, u[j]) < 0.0
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS) + sorted(STRONG_NON_PROJECTOR_CLOUDS))
+def test_certified_flips_equal_midpoint_flips(name):
+    cloud = {**CROSS_CHECK_CLOUDS, **STRONG_NON_PROJECTOR_CLOUDS}[name]()
+    u, gaps, _ = _point_lines(cloud)
+    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    certified = _chord_certified(cloud.mats, gaps, i, j)
+    assert certified.any() != (name == "torus-8")  # its grid is too coarse for a short chord
+    flips = _edge_flips(cloud.mats, u, gaps, i, j)
+    assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
+    assert np.array_equal(flips[certified], np.einsum("ij,ij->i", u[i], u[j])[certified] < 0.0)
+
+
+def _path_flip(A, B, u_a, u_b, steps=256):
+    """Whether the top line of sym((1 - s) A + s B), followed in small steps
+    from u_a at s = 0, arrives at s = 1 as -u_b."""
+    w = u_a
+    for s in np.linspace(0.0, 1.0, steps + 1)[1:]:
+        M = (1.0 - s) * A + s * B
+        v = np.linalg.eigh((M + M.T) / 2.0)[1][:, -1]
+        w = v if v @ w > 0.0 else -v
+    return bool(w @ u_b < 0.0)
+
+
+def test_property_chord_certificate_at_its_threshold():
+    # pairs with sqrt(2) |A_i - A_j|_F within 1% of g_i, on both sides of
+    # the threshold: the certified flip, the midpoint flip and the flip
+    # followed along the segment agree
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 3), st.floats(0.2, 1.0), st.floats(0.99, 1.01), st.integers(0, 2**16),
+    )
+    def check(m, gap, ratio, seed):
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        A = Q @ np.diag([1.0] + [1.0 - gap] * (m - 1)) @ Q.T
+        E = rng.normal(size=(m, m))
+        E *= ratio * gap / (SQRT2 * np.linalg.norm(E))
+        B = A + E
+        mats = np.stack([A, B])
+        u, gaps = _top_eigenvectors(mats, "point")
+        # the midpoint rule needs the edge below both points' bounds
+        hypothesis.assume(np.linalg.norm(E) < SQRT2 * min(gaps) * 0.999)
+        i, j = np.array([0]), np.array([1])
+        cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
+        flip = bool(_edge_flips(mats, u, gaps, i, j)[0])
+        assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
+        assert flip == _path_flip(A, B, u[0], u[1])
+
+    check()
