@@ -32,16 +32,16 @@ import numpy as np
 from .grassmann import (
     MatrixPoint,
     MedialAxisError,
+    eigen_gaps,
     eigh_descending,
-    line_projector,
     line_projectors,
     GAP_TOLERANCE,
     tmax,
     tmax_from_gaps,
 )
-# jacobi_eigh_batch is not called here; it stays importable from this module
-# because bench/spans.py times the names the bundle layer imports.
-from .grassmann import jacobi_eigh_batch  # noqa: F401
+# jacobi_eigh_batch and line_projector are not called here; they stay importable
+# from this module because bench/spans.py times the names the bundle layer imports.
+from .grassmann import jacobi_eigh_batch, line_projector  # noqa: F401
 from .projective import ProjectiveTriangulation
 from .simplicial import (
     SimplicialComplex,
@@ -167,49 +167,51 @@ class LiftedCloud:
         points = obj["points"]
         if not isinstance(points, list):
             raise ValueError(f"'points' must be a list, got {type(points).__name__}")
-        if points and all(isinstance(p, dict) and "A" in p for p in points):
-            try:
-                xs = np.array([p["x"] for p in points], dtype=float)
-                mats = np.array([p["A"] for p in points], dtype=float)
-            except (KeyError, TypeError, ValueError):
-                pass  # the loop below words the error
-            else:
-                if xs.shape == (len(points), n) and mats.shape == (len(points), m, m):
-                    return cls(xs, mats, gamma)
-        # line directions "v", or an error to word, point by point
-        xs, mats = [], []
-        for k, p in enumerate(points):
-            if not isinstance(p, dict):
-                raise ValueError(f"point {k} must be an object, got {type(p).__name__}")
-            x = _point_field(p, k, "x")
-            if x.shape != (n,):
-                raise ValueError(f"point with x of shape {x.shape}, expected ({n},)")
-            if "A" in p:
-                A = _point_field(p, k, "A")
-                if A.shape != (m, m):
-                    raise ValueError(f"point with A of shape {A.shape}, expected ({m}, {m})")
-            elif "v" in p:
-                v = _point_field(p, k, "v")
-                if v.shape != (m,):
-                    raise ValueError(f"point with v of shape {v.shape}, expected ({m},)")
-                A = line_projector(v).P
-            else:
-                raise ValueError("point needs a matrix 'A' or a line direction 'v'")
-            xs.append(x)
-            mats.append(A)
-        if not xs:
+        if not points:
             raise ValueError("empty cloud")
-        return cls(np.array(xs), np.array(mats), gamma)
+        try:  # every point at once: "A" rows as given, "v" rows through one line_projectors
+            has_A = ["A" in p for p in points]
+            xs = _stacked(points, "x", (n,))
+            mats = _stacked([p for p, a in zip(points, has_A) if a], "A", (m, m))
+            if not all(has_A):
+                V = _stacked([p for p, a in zip(points, has_A) if not a], "v", (m,))
+                rows, A = np.array(has_A), mats
+                mats = np.empty((len(points), m, m))
+                mats[rows], mats[~rows] = A, line_projectors(V)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            for k, p in enumerate(points):  # word the first bad point's error, by its file index
+                if not isinstance(p, dict):
+                    raise ValueError(f"point {k} must be an object, got {type(p).__name__}")
+                _point_field(p, k, "x", (n,))
+                if "A" in p:
+                    _point_field(p, k, "A", (m, m))
+                elif "v" in p:
+                    line_projectors(_point_field(p, k, "v", (m,))[None])
+                else:
+                    raise ValueError("point needs a matrix 'A' or a line direction 'v'")
+            raise
+        return cls(xs, mats, gamma)
 
 
-def _point_field(point: dict, k: int, key: str) -> np.ndarray:
-    """point[key] as a float array, or ValueError naming point k and the field."""
+def _stacked(points: list, key: str, shape: tuple) -> np.ndarray:
+    """The points' `key` fields as one float array of shape (len(points),) + shape."""
+    rows = np.array([p[key] for p in points] or np.empty((0,) + shape), dtype=float)
+    if rows.shape[1:] != shape:
+        raise ValueError(f"'{key}' rows of shape {rows.shape[1:]}, expected {shape}")
+    return rows
+
+
+def _point_field(point: dict, k: int, key: str, shape: tuple) -> np.ndarray:
+    """point[key] as a float array of the shape, or ValueError naming point k or the shape."""
     if key not in point:
         raise ValueError(f"point {k} is missing '{key}'")
     try:
-        return np.asarray(point[key], dtype=float)
+        field = np.asarray(point[key], dtype=float)
     except TypeError as err:
         raise ValueError(f"point {k} has a non-numeric '{key}': {err}") from None
+    if field.shape != shape:
+        raise ValueError(f"point with {key} of shape {field.shape}, expected {shape}")
+    return field
 
 
 def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud:
@@ -246,17 +248,11 @@ def _point_lines(cloud: LiftedCloud) -> tuple[np.ndarray, np.ndarray, float]:
 def _top_eigenvectors(
     mats: np.ndarray, noun: str, ids: Optional[np.ndarray] = None, solve=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvectors and eigen-gaps of the symmetric parts of a stack of
-    matrices, or MedialAxisError naming the first (point, vertex or edge)
-    whose eigen-gap is at most GAP_TOLERANCE, by its entry of ids (default:
-    its position); ValueError for 1 x 1 matrices.  solve (default
-    eigh_descending) returns eigenvalues in descending order with the
-    matching columns."""
-    m = mats.shape[1]
-    if m < 2:
-        raise ValueError(f"d = 1 out of range for m = {m}: a {m} x {m} matrix part has no line")
-    vals, vecs = (solve or eigh_descending)((mats + mats.transpose(0, 2, 1)) / 2.0)
-    gaps = vals[:, 0] - vals[:, 1]
+    """Top eigenvectors and eigen-gaps of a stack of matrices (eigen_gaps, solved by
+    solve or eigh_descending), or MedialAxisError naming the first (point, vertex
+    or edge) whose gap is at most GAP_TOLERANCE by its entry of ids (default: its
+    position)."""
+    gaps, vecs = eigen_gaps(mats, 1, solve or eigh_descending)
     bad = np.nonzero(gaps <= GAP_TOLERANCE)[0]
     if bad.size:
         k = int(bad[0] if ids is None else ids[bad[0]])

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
@@ -138,7 +137,7 @@ def main(argv=None) -> int:
         if args.command == "barcode":
             return _cmd_barcode(args)
         return _cmd_lifebar(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

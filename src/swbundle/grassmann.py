@@ -177,18 +177,26 @@ def jacobi_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Projection onto the Grassmannian
 # ---------------------------------------------------------------------------
 
+def eigen_gaps(S: np.ndarray, d: int, solve=eigh_descending) -> tuple[np.ndarray, np.ndarray]:
+    """The d-th eigen-gaps lambda_d - lambda_{d+1} of the symmetric parts of a
+    matrix or stack (..., m, m), and their eigenvectors as solve (descending
+    eigenvalues, matching columns) returns them; ValueError unless 1 <= d < m."""
+    S = np.asarray(S, dtype=float)
+    m = S.shape[-1]
+    if not 1 <= d < m:
+        why = f": a {m} x {m} matrix part has no line" if m < 2 else ""
+        raise ValueError(f"d = {d} out of range for m = {m}{why}")
+    vals, vecs = solve((S + np.swapaxes(S, -1, -2)) / 2.0)
+    return vals[..., d - 1] - vals[..., d], vecs
+
+
 def medial_distance(A: np.ndarray, d: int) -> float:
     """Frobenius distance from A to the medial axis of G_d(R^m).
 
     Equals sqrt(2)/2 times the gap between the d-th and (d+1)-th eigenvalues
     of the symmetric part of A.
     """
-    A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    if not 1 <= d < m:
-        raise ValueError(f"d = {d} out of range for m = {m}")
-    lam = eigh_descending((A + A.T) / 2.0)[0]
-    return tmax_from_gaps(lam[d - 1] - lam[d], 1.0)
+    return tmax_from_gaps(eigen_gaps(A, d)[0], 1.0)
 
 
 def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
@@ -198,15 +206,9 @@ def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
     Raises MedialAxisError when the eigen-gap at position d is below
     tolerance, i.e. the projection is not unique.
     """
-    A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-    if not 1 <= d < m:
-        raise ValueError(f"d = {d} out of range for m = {m}")
-    lam, O = eigh_descending((A + A.T) / 2.0)
-    if lam[d - 1] - lam[d] <= GAP_TOLERANCE:
-        raise MedialAxisError(
-            f"eigen-gap {lam[d - 1] - lam[d]:.3e} at position {d}: matrix on the medial axis"
-        )
+    gap, O = eigen_gaps(A, d)
+    if gap <= GAP_TOLERANCE:
+        raise MedialAxisError(f"eigen-gap {gap:.3e} at position {d}: matrix on the medial axis")
     top = O[:, :d]
     return GrassmannPoint(top @ top.T, d)
 
@@ -219,9 +221,12 @@ def line_projectors(V: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(V)):
         raise ValueError("non-finite direction vector")
     # row norms from per-row dot products, rounded as np.linalg.norm(v) rounds
-    nrm = np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
+    with np.errstate(over="ignore"):  # an overflowing row is refused below
+        nrm = np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
     if np.any(nrm <= 1e-12):
         raise ValueError("near-zero direction vector")
+    if np.any(np.isinf(nrm)):
+        raise ValueError("direction vector too long: its squared norm overflows")
     U = V / nrm
     return U[:, :, None] * U[:, None, :]
 
@@ -243,9 +248,4 @@ def tmax(points, d: int, gamma: float) -> float:
     mats = [p.A for p in points]
     if not mats:
         raise ValueError("empty cloud")
-    mats = np.array(mats)
-    m = mats.shape[1]
-    if not 1 <= d < m:
-        raise ValueError(f"d = {d} out of range for m = {m}")
-    lam, _ = eigh_descending((mats + mats.transpose(0, 2, 1)) / 2.0)
-    return tmax_from_gaps(lam[:, d - 1] - lam[:, d], gamma)
+    return tmax_from_gaps(eigen_gaps(mats, d)[0], gamma)

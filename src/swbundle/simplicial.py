@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .z2 import INF, Barcode, CochainZ2
+from .z2 import INF, Barcode, CochainZ2, _check_monotone
 
 
 def _canonical(simplex: Iterable[int]) -> tuple:
@@ -114,16 +114,11 @@ class FilteredComplex:
     def __post_init__(self) -> None:
         if self._skip_checks:
             return
-        vals = self.values
-        for dim, simplices in self.complex.simplices.items():
+        for simplices in self.complex.simplices.values():
             for s in simplices:
-                v = vals[s]
-                if v < 0:
+                if self.values[s] < 0:
                     raise ValueError(f"negative filtration value at {s}")
-                if dim > 0:
-                    for drop in range(len(s)):
-                        if vals[s[:drop] + s[drop + 1:]] > v + 1e-12:
-                            raise ValueError(f"non-monotone filtration at {s}")
+        _check_monotone(self)
 
     def to_json_obj(self) -> list:
         out = []
@@ -235,7 +230,9 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
 
     The intervals equal those of ``barcode(rips_filtration(D, max_value, 2),
     max_dim)``, but no triangle is ever built.  max_value is first capped at
-    the enclosing radius min_i max_j D[i, j] / 2: from there on every flag
+    the enclosing radius min_i max_j D[i, j] / 2, read off the edge list:
+    the least largest edge value of a vertex of full degree (any other
+    vertex has an edge past max_value).  From there on every flag
     complex is a cone on the centre i, so every H1 class has died, one H0
     bar is left, and later edges only add zero-length pairs.  H0 comes from
     Kruskal's union-find over the edges in filtration order, which stops at
@@ -246,13 +243,12 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
     n, iu, ju, values = _flag_edges(D, max_value)
-    # the centre of the enclosing radius is a vertex of full degree; its
-    # distances are read off the upper triangle, as the edge values are
-    centres = np.flatnonzero(np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1)
-    if values and centres.size:
-        D = np.asarray(D, dtype=float)
-        rows = np.where(np.arange(n) > centres[:, None], D[centres], D[:, centres].T)
-        E = bisect.bisect_right(values, rows.max(axis=1).min() / 2.0)
+    full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
+    if values and full.any():
+        top = np.zeros(n)
+        np.maximum.at(top, iu, values)
+        np.maximum.at(top, ju, values)
+        E = bisect.bisect_right(values, top[full].min())
         iu, ju, values = iu[:E], ju[:E], values[:E]
 
     parent = list(range(n))

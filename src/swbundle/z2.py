@@ -308,6 +308,7 @@ class Barcode:
 
 
 def _check_monotone(F) -> None:
+    """ValueError unless each face of a simplex of F enters by its value (up to 1e-12)."""
     values = F.values
     for dim, simplices in F.complex.simplices.items():
         if dim == 0:

@@ -27,7 +27,7 @@ from swbundle.datasets import (
     klein_normal,
     torus_normal,
 )
-from swbundle.grassmann import MedialAxisError, gamma_dist
+from swbundle.grassmann import MedialAxisError, gamma_dist, line_projectors
 from swbundle.projective import rp_face_map, triangulate_rp
 from swbundle.simplicial import (
     SimplicialComplex,
@@ -103,6 +103,17 @@ class TestLiftedCloud:
         }
         c = LiftedCloud.from_json_obj(obj)
         assert np.allclose(c.mats[0], [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_direction_points_load_bitwise(self, rng):
+        xs, V = rng.normal(size=(9, 2)), rng.normal(size=(9, 3))
+        A = line_projectors(rng.normal(size=(9, 3)))
+        for first_v in (0, 3):  # every point a direction; points 0-2 matrices, the rest directions
+            points = [{"x": x, "A": a} for x, a in zip(xs.tolist(), A.tolist())][:first_v]
+            points += [{"x": x, "v": v} for x, v in zip(xs.tolist(), V.tolist())][first_v:]
+            c = LiftedCloud.from_json_obj({"n": 2, "m": 3, "gamma": 1.0, "points": points})
+            assert np.array_equal(c.xs, xs)
+            assert np.array_equal(c.mats[:first_v], A[:first_v])
+            assert np.array_equal(c.mats[first_v:], line_projectors(V)[first_v:])
 
 
 class TestIndexBound:

@@ -215,6 +215,11 @@ def _corrupt(obj, where):
         for i, p in enumerate(obj["points"]):
             p["v"] = [1.0, 0.0, 1.0] if i == 4 else [1.0, 0.0]
             del p["A"]
+    elif where == "v mixed object":  # points 0-2 keep "A", the rest carry "v"
+        for p in obj["points"][3:]:
+            p["v"] = [1.0, 0.0]
+            del p["A"]
+        obj["points"][3]["v"] = {"a": 1}
     elif where == "points":
         obj["points"] = 5
     elif where == "point":
@@ -260,6 +265,7 @@ def _corrupt(obj, where):
     ("no gamma", "cloud is missing 'gamma'"),
     ("no points", "cloud is missing 'points'"),
     ("no x", "point 0 is missing 'x'"),
+    ("v mixed object", "point 3 has a non-numeric 'v'"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"
@@ -269,6 +275,16 @@ def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     out = tmp_path / "out.json"
     assert run(command, "--input", str(cloud), "--output", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_invalid_json_exits_2(tmp_path, capsys, command):
+    cloud = tmp_path / "c.json"
+    cloud.write_text('{"n": 1, "m": 2, "gamma": 1.0, "points": [')
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
 

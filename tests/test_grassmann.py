@@ -8,6 +8,7 @@ from swbundle.grassmann import (
     GrassmannPoint,
     MatrixPoint,
     MedialAxisError,
+    eigen_gaps,
     eigh_descending,
     gamma_dist,
     jacobi_eigh,
@@ -137,6 +138,31 @@ class TestEighDescending:
         vals, vecs = eigh_descending(np.diag([1.0, 3.0, 2.0]))
         assert vals.tolist() == [3.0, 2.0, 1.0]
         assert np.array_equal(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
+
+
+class TestEigenGaps:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gap_of_the_symmetric_part(self, rng, d):
+        S = rng.normal(size=(5, 4, 4))
+        gaps, vecs = eigen_gaps(S, d)
+        vals, oracle = eigh_descending((S + S.transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(gaps, vals[:, d - 1] - vals[:, d])
+        assert np.array_equal(vecs, oracle)
+        assert np.array_equal(eigen_gaps(S[2], d)[0], gaps[2])
+
+    def test_solver_hook(self, rng):
+        S = rng.normal(size=(6, 3, 3))
+        gaps, _ = eigen_gaps(S, 1, solve=jacobi_eigh_batch)
+        assert np.allclose(gaps, eigen_gaps(S, 1)[0], atol=1e-12)
+
+    @pytest.mark.parametrize("m, d, message", [
+        (3, 0, "d = 0 out of range for m = 3$"),
+        (3, 3, "d = 3 out of range for m = 3$"),
+        (1, 1, "d = 1 out of range for m = 1: a 1 x 1 matrix part has no line"),
+    ])
+    def test_range(self, m, d, message):
+        with pytest.raises(ValueError, match=message):
+            eigen_gaps(np.eye(m), d)
 
 
 class TestProjection:
@@ -298,6 +324,7 @@ class TestLineProjector:
     @pytest.mark.parametrize("bad, message", [
         ([0.0, 1e-15], "near-zero direction vector"),
         ([np.nan, 1.0], "non-finite direction vector"),
+        ([1e200, 1e200], "squared norm overflows"),
     ])
     def test_batch_refuses_one_bad_row(self, bad, message):
         with pytest.raises(ValueError, match=message):

@@ -287,6 +287,26 @@ class TestPullback:
         assert is_cocycle(K, pullback_cochain(f, K, L, w))
 
 
+class TestFilteredComplexChecks:
+    def test_negative_edge_value_within_the_monotone_slack(self):
+        # the face check allows 1e-12 of slack, so only the sign test refuses this
+        K = SimplicialComplex([(0, 1)])
+        with pytest.raises(ValueError, match="negative filtration value at \\(0, 1\\)"):
+            FilteredComplex(K, {(0,): 0.0, (1,): 0.0, (0, 1): -1e-13})
+
+    def test_negative_vertex_value(self):
+        with pytest.raises(ValueError, match="negative filtration value at \\(1,\\)"):
+            FilteredComplex(SimplicialComplex([(0, 1)]), {(0,): 0.0, (1,): -1.0, (0, 1): 0.0})
+
+    def test_non_monotone_triangle(self):
+        K = SimplicialComplex([(0, 1, 2)])
+        vals = {s: 1.0 for ss in K.simplices.values() for s in ss}
+        vals[(0, 1, 2)] = 0.5
+        with pytest.raises(ValueError, match="non-monotone filtration at simplex \\(0, 1, 2\\)"):
+            FilteredComplex(K, vals)
+        FilteredComplex(K, {**vals, (0, 1, 2): 1.0 - 1e-13})  # within the slack
+
+
 class TestSerialization:
     def test_complex_json(self):
         K = SimplicialComplex([(0, 1)])
