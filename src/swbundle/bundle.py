@@ -50,6 +50,7 @@ from .simplicial import (
     is_simplicial_map,
     pullback_cochain,
     rips_filtration,
+    _odd_cycle_sweep,
 )
 # is_cocycle is not called here; it stays importable from this module
 # because bench/spans.py times the names the bundle layer imports.
@@ -107,6 +108,12 @@ class LiftedCloud:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mats", mats)
+        # 8 max |e_i|^2 bounds distance_matrix's squared distances and _edge_blocks' screen
+        with np.errstate(over="ignore"):
+            emb = self.embedding()
+            if not math.isfinite(8.0 * np.einsum("ij,ij->i", emb, emb).max(initial=0.0)):
+                raise ValueError(
+                    f"the cloud's squared distances overflow a float (gamma = {self.gamma:g})")
 
     def __len__(self) -> int:
         return self.xs.shape[0]
@@ -163,7 +170,11 @@ class LiftedCloud:
                 raise ValueError(f"'{key}' must be an integer, got {size!r}")
         if type(obj["gamma"]) not in (int, float):
             raise ValueError(f"'gamma' must be a number, got {obj['gamma']!r}")
-        n, m, gamma = int(obj["n"]), int(obj["m"]), float(obj["gamma"])
+        n, m = int(obj["n"]), int(obj["m"])
+        try:
+            gamma = float(obj["gamma"])
+        except OverflowError:
+            raise ValueError("'gamma' is a number too large for a float") from None
         points = obj["points"]
         if not isinstance(points, list):
             raise ValueError(f"'points' must be a list, got {type(points).__name__}")
@@ -209,6 +220,8 @@ def _point_field(point: dict, k: int, key: str, shape: tuple) -> np.ndarray:
         field = np.asarray(point[key], dtype=float)
     except TypeError as err:
         raise ValueError(f"point {k} has a non-numeric '{key}': {err}") from None
+    except OverflowError:
+        raise ValueError(f"point {k} has a number too large for a float in '{key}'") from None
     if field.shape != shape:
         raise ValueError(f"point with {key} of shape {field.shape}, expected {shape}")
     return field
@@ -542,8 +555,8 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
 
     The class at index t is nonzero iff the flag graph at scale sqrt(2) * t
     has a cycle with an odd number of edges along which the fiber line
-    flips.  The edges below scale sqrt(2) * t_max enter a parity union-find
-    in filtration order (see _closing_value).  If the edge of value v first closes an odd cycle,
+    flips.  The edges below scale sqrt(2) * t_max enter _odd_cycle_sweep
+    in filtration order.  If the edge of value v first closes an odd cycle,
     the class turns nonzero at t*, the smallest double with SQRT2 * t* >= v,
     and t_dagger = nextafter(t*, 0).  resolution is validated, not used.
 
@@ -576,9 +589,18 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, gaps, bound = _point_lines(cloud)
-    value = _closing_value(cloud, u, gaps, math.nextafter(SQRT2 * bound, 0.0))
-    if value is None:
+    n, read = len(cloud), []  # the values of the blocks the sweep reads
+
+    def blocks():
+        for i, j, values in _edge_blocks(cloud, math.nextafter(SQRT2 * bound, 0.0), max(n, 64)):
+            first = sum(map(len, read))  # the filtration position of its first edge
+            read.append(values)
+            yield i, j, _edge_flips(cloud.mats, u, gaps, i, j, first)
+
+    closing = _odd_cycle_sweep(n, blocks())[0]
+    if closing is None:
         return Lifebar(bound, None, resolution)
+    value = float(np.concatenate(read)[closing])
     t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
     while SQRT2 * t_star < value:
         t_star = math.nextafter(t_star, math.inf)
@@ -587,49 +609,3 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     # t_star can round up to the bound itself, outside the index set
     return Lifebar(bound, math.nextafter(t_star, 0.0) if t_star < bound else None, resolution)
 
-
-def _closing_value(cloud: LiftedCloud, u, gaps, max_value: float) -> Optional[float]:
-    """The value of the first edge, in filtration order up to max_value, that
-    closes a cycle with an odd number of flips; None if no edge does.
-
-    A parity union-find takes the edges until the graph is connected; from
-    then on every vertex has a fixed parity to the one root, and each later
-    edge closes an odd cycle iff its flip differs from its ends' parities.
-    """
-    n = len(cloud)
-    parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
-
-    def find(a: int):
-        odd = 0
-        while parent[a] != a:  # path halving
-            p = parent[a]
-            parity[a] ^= parity[p]
-            parent[a] = parent[p]
-            odd ^= parity[a]
-            a = parent[a]
-        return a, odd
-
-    labels, merges, lo = None, 0, 0  # labels: each vertex's parity to the root, once connected
-    for bi, bj, values in _edge_blocks(cloud, max_value, max(n, 64)):
-        flips = _edge_flips(cloud.mats, u, gaps, bi, bj, lo)
-        lo += len(values)
-        start = 0
-        if labels is None:
-            for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
-                ri, pi = (i, 0) if parent[i] == i else find(i)
-                rj, pj = (j, 0) if parent[j] == j else find(j)
-                if ri != rj:
-                    parent[ri], parity[ri] = rj, pi ^ pj ^ flip
-                    merges += 1
-                    if merges == n - 1:
-                        labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
-                        start = e + 1
-                        break
-                elif pi ^ pj ^ flip:
-                    return float(values[e])
-            else:
-                continue  # not connected yet
-        odd = np.flatnonzero(labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:])
-        if odd.size:
-            return float(values[start + odd[0]])
-    return None

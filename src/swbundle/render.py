@@ -6,6 +6,8 @@ deterministic formatting, so rendered files are byte-stable across runs.
 
 from __future__ import annotations
 
+import sys
+
 from .bundle import Lifebar
 from .z2 import INF, Barcode
 
@@ -24,7 +26,7 @@ def _fmt(x: float) -> str:
 def _axis_tail(values, t_max):
     finite = [v for v in values if v != INF]
     right = max(finite + [t_max if t_max is not None else 0.0, 1e-9])
-    return right * 1.02
+    return min(right * 1.02, sys.float_info.max)  # the margin, unless it overflows
 
 
 def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: list) -> str:
@@ -62,8 +64,7 @@ def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
     span = _WIDTH - 2 * _MARGIN
 
     def sx(v: float) -> float:
-        v = min(v, right)
-        return _MARGIN + span * v / right
+        return _MARGIN + span * (min(v, right) / right)  # v / right first: span * v may overflow
 
     height = _MARGIN + _ROW * (len(bars) + 2)
     body = []
@@ -100,8 +101,8 @@ def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
     for (d, b, e) in bars:
         death = "inf" if e == INF else _fmt(e)
         label = f"H{d} [{_fmt(b)}, {death})"[:label_w].ljust(label_w)
-        c0 = int(round(span * min(b, right) / right))
-        c1 = int(round(span * min(e if e != INF else right, right) / right))
+        c0 = int(round(span * (min(b, right) / right)))
+        c1 = int(round(span * (min(e if e != INF else right, right) / right)))
         c1 = max(c1, c0 + 1)
         bar = " " * c0 + "#" * (c1 - c0)
         lines.append((label + bar)[:_TEXT_COLUMNS])

@@ -235,10 +235,10 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     vertex has an edge past max_value).  From there on every flag
     complex is a cone on the centre i, so every H1 class has died, one H0
     bar is left, and later edges only add zero-length pairs.  H0 comes from
-    Kruskal's union-find over the edges in filtration order, which stops at
-    the n - 1 merges of a spanning tree.  H1 comes from persistent
-    cohomology (de Silva, Morozov & Vejdemo-Johansson, arXiv 1107.5665) in
-    the manner of Ripser (Bauer, arXiv 1908.02518); see ``_h1_bars``.
+    the spanning forest of ``_odd_cycle_sweep``, with no edge flipped.  H1
+    comes from persistent cohomology (de Silva, Morozov & Vejdemo-Johansson,
+    arXiv 1107.5665) in the manner of Ripser (Bauer, arXiv 1908.02518); see
+    ``_h1_bars``.
     """
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
@@ -251,28 +251,62 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
         E = bisect.bisect_right(values, top[full].min())
         iu, ju, values = iu[:E], ju[:E], values[:E]
 
-    parent = list(range(n))
+    forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(len(values), dtype=bool))])[1]
     tree = np.zeros(len(values), dtype=bool)
-    bars: list[tuple] = []
-    merges = 0
-    for e, (a, b) in enumerate(zip(iu.tolist(), ju.tolist())):
-        if merges == n - 1:
-            break
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            tree[e] = True
-            merges += 1
-            if values[e] > 0.0:
-                bars.append((0, 0.0, values[e]))
-    bars += [(0, 0.0, INF)] * (n - merges)
+    tree[forest] = True
+    bars = [(0, 0.0, values[e]) for e in forest if values[e] > 0.0]
+    bars += [(0, 0.0, INF)] * (n - len(forest))
     if max_dim == 1 and values:
         bars += _h1_bars(n, iu, ju, values, tree)
     bars.sort()
     return Barcode(tuple(bars))
+
+
+def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
+    """Kruskal's union-find on n vertices with a Z/2 flip on each edge.
+
+    blocks yields (i, j, flips) arrays, the edges ij in filtration order and
+    whether each flips.  Returns (closing, forest): the position of the
+    first edge that closes a cycle with an odd number of flips (None if
+    none does), and the positions of the spanning-forest edges, the ones
+    before it that join two components.  Once n - 1 merges connect the
+    graph, every vertex has a fixed parity to the one root, and each later
+    edge closes an odd cycle iff its flip differs from its ends' parities.
+    """
+    parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
+
+    def find(a: int):
+        odd = 0
+        while parent[a] != a:  # path halving
+            p = parent[a]
+            parity[a] ^= parity[p]
+            parent[a] = parent[p]
+            odd ^= parity[a]
+            a = parent[a]
+        return a, odd
+
+    forest, labels, lo = [], None, 0  # labels: each vertex's parity to the root, once connected
+    for bi, bj, flips in blocks:
+        start = 0
+        if labels is None:
+            for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
+                ri, pi = (i, 0) if parent[i] == i else find(i)
+                rj, pj = (j, 0) if parent[j] == j else find(j)
+                if ri != rj:
+                    parent[ri], parity[ri] = rj, pi ^ pj ^ flip
+                    forest.append(lo + e)
+                    if len(forest) == n - 1:
+                        labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
+                        start = e + 1
+                        break
+                elif pi ^ pj ^ flip:
+                    return lo + e, forest
+        if labels is not None:
+            odd = np.flatnonzero(labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:])
+            if odd.size:
+                return lo + start + int(odd[0]), forest
+        lo += len(flips)
+    return None, forest
 
 
 def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndarray) -> list:

@@ -94,6 +94,17 @@ class TestLiftedCloud:
         with pytest.raises(ValueError):
             LiftedCloud(np.array(xs), np.array(mats), gamma)
 
+    @pytest.mark.parametrize("xs, gamma", [([[0.0]], 1e308), ([[1e154]], 1.0), ([[1e-3]], 1e154)])
+    def test_rejects_overflowing_squared_distances(self, xs, gamma):
+        with pytest.raises(ValueError, match="squared distances overflow a float"):
+            LiftedCloud(np.array(xs), np.array([np.eye(2)]), gamma)
+
+    def test_squared_distances_below_the_refusal_stay_finite(self):
+        # 8 max |e_i|^2 = 8e306 is finite, and so are the squared distances
+        cloud = LiftedCloud(np.array([[-1e153], [1e153]]), np.array([np.eye(2)] * 2), 1.0)
+        assert np.all(np.isfinite(cloud.distance_matrix()))
+        assert cloud.distance_matrix()[0, 1] == pytest.approx(2e153)
+
     def test_json_roundtrip_with_direction_key(self):
         obj = {
             "n": 2,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ class TestGenerate:
                    "--noise", noise, "--output", str(out)) == 2
         assert f"noise level must be finite and nonnegative, got {float(noise)}" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_gamma_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("generate", "--dataset", "mobius", "--count", "5",
+                   "--gamma", "1e308", "--output", str(out)) == 2
+        assert "squared distances overflow a float" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -106,6 +114,19 @@ class TestBarcodeCommand:
                    "--output", str(out)) == 2
         assert "max" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "bc.svg").exists()
+
+    @pytest.mark.parametrize("render", ["svg", "text"])
+    def test_largest_finite_max_edge_renders(self, tmp_path, render):
+        # the axis margin past the largest float would make it infinite
+        cloud = tmp_path / "c.json"
+        out = tmp_path / "bc.json"
+        run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
+        assert run("barcode", "--input", str(cloud), "--max-edge", "1.79e308",
+                   "--output", str(out), "--render", render) == 0
+        drawn = (tmp_path / f"bc.{'svg' if render == 'svg' else 'txt'}").read_text()
+        assert "nan" not in drawn
+        coords = re.findall(r' [xy][12]?="([^"]*)"', drawn)
+        assert (render == "text" or coords) and all(math.isfinite(float(c)) for c in coords)
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("barcode", "--input", str(tmp_path / "nope.json"),
@@ -230,6 +251,19 @@ def _corrupt(obj, where):
         obj["m"] = "2"
     elif where == "document":
         return [obj]
+    elif where == "x big int":  # a JSON integer past the largest float
+        obj["points"][2]["x"][0] = 10 ** 400
+    elif where == "A big int":
+        obj["points"][2]["A"][0][1] = 10 ** 400
+    elif where == "gamma big int":
+        obj["gamma"] = 10 ** 400
+    elif where == "v big int":
+        for p in obj["points"]:
+            p["v"] = [1.0, 0.0]
+            del p["A"]
+        obj["points"][2]["v"][1] = 10 ** 400
+    elif where == "gamma 1e308":  # finite, but the squared distances overflow
+        obj["gamma"] = 1e308
     elif where.startswith("no "):
         for item in obj["points"] if where == "no x" else [obj]:
             del item[where[3:]]
@@ -266,6 +300,11 @@ def _corrupt(obj, where):
     ("no points", "cloud is missing 'points'"),
     ("no x", "point 0 is missing 'x'"),
     ("v mixed object", "point 3 has a non-numeric 'v'"),
+    ("x big int", "point 2 has a number too large for a float in 'x'"),
+    ("A big int", "point 2 has a number too large for a float in 'A'"),
+    ("v big int", "point 2 has a number too large for a float in 'v'"),
+    ("gamma big int", "'gamma' is a number too large for a float"),
+    ("gamma 1e308", "squared distances overflow a float (gamma = 1e+308)"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"
