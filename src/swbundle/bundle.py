@@ -168,6 +168,9 @@ class LiftedCloud:
             size = obj[key]
             if not (type(size) is int or type(size) is float and size.is_integer()):
                 raise ValueError(f"'{key}' must be an integer, got {size!r}")
+            if size > 2 ** 31:  # name its digit count: the number may run to hundreds of digits
+                digits = len(str(int(size)))
+                raise ValueError(f"'{key}' must be at most 2**31, got an integer of {digits} digits")
         if type(obj["gamma"]) not in (int, float):
             raise ValueError(f"'gamma' must be a number, got {obj['gamma']!r}")
         n, m = int(obj["n"]), int(obj["m"])
@@ -223,7 +226,7 @@ def _point_field(point: dict, k: int, key: str, shape: tuple) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"point {k} has a number too large for a float in '{key}'") from None
     if field.shape != shape:
-        raise ValueError(f"point with {key} of shape {field.shape}, expected {shape}")
+        raise ValueError(f"point {k} has '{key}' of shape {field.shape}, expected {shape}")
     return field
 
 

@@ -274,6 +274,7 @@ def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
     edge closes an odd cycle iff its flip differs from its ends' parities.
     """
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
+    size = [1] * n  # a root's component size: the smaller root goes under the larger
 
     def find(a: int):
         odd = 0
@@ -290,10 +291,14 @@ def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
         start = 0
         if labels is None:
             for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
-                ri, pi = (i, 0) if parent[i] == i else find(i)
-                rj, pj = (j, 0) if parent[j] == j else find(j)
+                # a root's parity is 0, so a root or a root's child needs no find
+                ri, pi = (parent[i], parity[i]) if parent[parent[i]] == parent[i] else find(i)
+                rj, pj = (parent[j], parity[j]) if parent[parent[j]] == parent[j] else find(j)
                 if ri != rj:
+                    if size[ri] > size[rj]:
+                        ri, rj = rj, ri
                     parent[ri], parity[ri] = rj, pi ^ pj ^ flip
+                    size[rj] += size[ri]
                     forest.append(lo + e)
                     if len(forest) == n - 1:
                         labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
@@ -321,10 +326,20 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     has max(R[a, k], R[b, k]) < e: its earliest coface then has e as its
     latest edge, a zero-length pair that needs no reduction.  A scan records
     mid[e] = min_k max(R[a, k], R[b, k]) for every other edge, and only
-    that.  A pivot with ranks (t, m, l) is the first key of coboundary(t),
+    that.  A key with ranks (t, m, l) is the first key of coboundary(t),
     and so an apparent pair's pivot, iff mid[t] == m: rank m fixes the
     triangle's third vertex.  Only then is coboundary(t) built, to be
     added; a lookup that finds no column builds nothing.
+
+    A long column adds the coboundaries of many apparent keys of its window
+    at once (see ``_reduce_column``), built from at most BLOCK_KEYS // n
+    stacked rows of R like a block of the scan.  Every such key (t, m, l)
+    of edge e's column has t > e, as e itself is not apparent, so
+    coboundary(t) is a column that comes before e's in the reduction order.
+    Adding such columns never changes the pivot a reduction ends at, so
+    every interval stays the same.  An apparent key is never a stored pivot
+    (pivots are unique in a reduced matrix, and coboundary(t) already holds
+    it), so the batch skips that lookup.
     """
     E = len(values)
     if E ** 3 > 2 ** 63:
@@ -338,21 +353,16 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     R[ju, iu] = ranks
     mid = np.full(E, E)
     todo = np.flatnonzero(~tree)
-    # small blocks: one past the allocator's mmap threshold is mapped and faulted in anew
-    chunk = max(1, (1 << 16) // n)
-    for start in range(0, todo.size, chunk):
-        rows = todo[start: start + chunk]
-        mid[rows] = np.maximum(R[iu[rows]], R[ju[rows]]).min(axis=1)
+    rows = max(1, BLOCK_KEYS // n)  # rows of R per block
+    for start in range(0, todo.size, rows):
+        block = todo[start: start + rows]
+        mid[block] = np.maximum(R[iu[block]], R[ju[block]]).min(axis=1)
     apparent = mid < ranks
     R = R.astype(np.int64)  # keys reach E ** 3
-    iu, ju, mid = iu.tolist(), ju.tolist(), mid.tolist()
+    # iu, ju and mid stay arrays: as Python lists they would take tens of bytes per edge
 
     def coboundary(e: int) -> np.ndarray:
-        ra, rb = R[iu[e]], R[ju[e]]
-        hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
-        keep = hi < E
-        hi, lo = hi[keep], lo[keep]
-        keys = np.maximum(hi, e) * E2 + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
+        keys = _coface_keys(R[iu[e]], R[ju[e]], e, E)
         keys.sort()
         return keys
 
@@ -367,9 +377,17 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
             col = pivots[pivot] = _materialise(*col)
         return col
 
+    def batch(win: np.ndarray, count: int):
+        pivot = int(win[0])
+        if mid[pivot // E2] != pivot // E % E:
+            return None
+        top = win // E2
+        t = top[mid[top] == win // E % E][:min(count, rows)]
+        return _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
+
     bars = []
     for e in np.flatnonzero(~(tree | apparent))[::-1].tolist():
-        pivot, col = _reduce_column(coboundary(e), lookup)
+        pivot, col = _reduce_column(coboundary(e), lookup, batch)
         if pivot is None:
             bars.append((1, values[e], INF))
             continue
@@ -380,11 +398,24 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     return bars
 
 
+def _coface_keys(ra: np.ndarray, rb: np.ndarray, e, E: int) -> np.ndarray:
+    """Keys of the triangles abk of edge e = ab, unsorted, from the rank rows
+    ra = R[a] and rb = R[b].  Stacked rows take a column e of edge ranks."""
+    hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
+    keys = np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
+    return keys[hi < E]
+
+
 # a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox
 WINDOW = 512
+# a column makes this many single additions before it adds apparent columns in batches
+SINGLE_ADDS = 32
+# keys per block of stacked rows of R: one past the allocator's mmap threshold
+# would be mapped and faulted in anew
+BLOCK_KEYS = 1 << 16
 
 
-def _reduce_column(col: np.ndarray, lookup):
+def _reduce_column(col: np.ndarray, lookup, batch):
     """Add the columns that lookup returns to col until its pivot has none.
 
     Returns (pivot, (window, runs, inbox)), the column still in pieces (see
@@ -398,8 +429,16 @@ def _reduce_column(col: np.ndarray, lookup):
     WINDOW from each run.  A long column's tail is thus not re-merged at
     each addition, and a column that no later lookup reads is never merged
     in full.
+
+    After SINGLE_ADDS single additions, a pivot that is an apparent key
+    (batch returns keys) is added together with the next apparent keys of
+    the window: batch(win, count) gives the unsorted keys of the first
+    count apparent columns, 2, 4, 8, ... at a time, merged in one step.
+    Each of those columns starts at its own key, so the pivot still cancels
+    and the next pivot comes later.
     """
     win, runs, inbox, limit = col, [], [], None
+    adds, count = 0, 2
     while True:
         if win.size > 2 * WINDOW:
             inbox.append(win[WINDOW:])
@@ -420,10 +459,20 @@ def _reduce_column(col: np.ndarray, lookup):
             win = _odd_keys([r[:c] for r, c in zip(runs, cuts)])
             runs = [r[c:] for r, c in zip(runs, cuts) if c < r.size]
             continue
+        keys = batch(win, count) if adds >= SINGLE_ADDS else None
+        if keys is not None:
+            if limit is not None:
+                far = keys >= limit
+                inbox.append(keys[far])
+                keys = keys[~far]
+            win = _odd_keys([win, keys])
+            count *= 2
+            continue
         pivot = int(win[0])
         other = lookup(pivot)
         if other is None:
             return pivot, (win, runs, inbox)
+        adds += 1
         if limit is not None:
             cut = int(other.searchsorted(limit))
             if cut < other.size:

@@ -255,6 +255,10 @@ def _corrupt(obj, where):
         obj["points"][2]["x"][0] = 10 ** 400
     elif where == "A big int":
         obj["points"][2]["A"][0][1] = 10 ** 400
+    elif where == "n big int":  # a header size past any array
+        obj["n"] = 10 ** 400
+    elif where == "m big float":
+        obj["m"] = 1e300
     elif where == "gamma big int":
         obj["gamma"] = 10 ** 400
     elif where == "v big int":
@@ -284,8 +288,10 @@ def _corrupt(obj, where):
     ("x", "non-finite base coordinate"),
     ("A", "non-finite matrix entry"),
     ("gamma", "gamma must be positive and finite"),
-    ("v", "point with v of shape (3,), expected (2,)"),
-    ("v mixed", "point with v of shape (3,), expected (2,)"),
+    ("v", "point 0 has 'v' of shape (3,), expected (2,)"),
+    ("v mixed", "point 4 has 'v' of shape (3,), expected (2,)"),
+    ("n big int", "'n' must be at most 2**31, got an integer of 401 digits"),
+    ("m big float", "'m' must be at most 2**31, got an integer of 301 digits"),
     ("points", "'points' must be a list, got int"),
     ("point", "point 0 must be an object, got int"),
     ("n", "'n' must be an integer, got 2.5"),

@@ -116,8 +116,7 @@ def test_long_column_read_by_an_earlier_one(monkeypatch):
         return materialise(win, runs, inbox)
 
     monkeypatch.setattr(simplicial, "_materialise", counted)
-    D = add_noise(klein_normal(8, 8), 0.05, seed=4).distance_matrix()
-    assert_matches_reference(D, float(D.max()))
+    assert_matches_reference(*klein_8x8())
     assert any(tails)
 
 
@@ -127,6 +126,92 @@ def test_uniform_circles_with_ties(n):
     D = circle_tautological(n).distance_matrix()
     assert_matches_reference(D, float(D.max()))
     assert_matches_reference(D, 0.6 * float(D.max()))
+
+
+def klein_8x8():
+    D = add_noise(klein_normal(8, 8), 0.05, seed=4).distance_matrix()
+    return D, float(D.max())
+
+
+@pytest.fixture(scope="module")
+def fixed_cases():
+    """The tied uniform circles and the Klein 8x8 long column, with their
+    reference intervals in degrees 0 and 1."""
+    cases = []
+    for n in (7, 12, 20, 33, 40):
+        D = circle_tautological(n).distance_matrix()
+        cases += [(D, float(D.max())), (D, 0.6 * float(D.max()))]
+    cases.append(klein_8x8())
+    return [(D, t, [reference(D, t, d).intervals for d in (0, 1)]) for D, t in cases]
+
+
+def count_batches(monkeypatch) -> list:
+    """Patch _reduce_column to count the batches of apparent columns it adds."""
+    batches = []
+    reduce_column = simplicial._reduce_column
+
+    def counted(col, lookup, batch):
+        def counted_batch(win, count):
+            keys = batch(win, count)
+            batches.append(keys is not None)
+            return keys
+
+        return reduce_column(col, lookup, counted_batch)
+
+    monkeypatch.setattr(simplicial, "_reduce_column", counted)
+    return batches
+
+
+@pytest.mark.parametrize("window", [1, 2, 8, 512])
+@pytest.mark.parametrize("single_adds", [0, 1])
+def test_batch_mode(rng, monkeypatch, fixed_cases, single_adds, window):
+    # clouds this small never reach SINGLE_ADDS single additions; with it at
+    # 0 or 1 every apparent pivot starts or soon joins a batch
+    monkeypatch.setattr(simplicial, "SINGLE_ADDS", single_adds)
+    monkeypatch.setattr(simplicial, "WINDOW", window)
+    batches = count_batches(monkeypatch)
+    for kind in ("plain", "rounded", "duplicates"):
+        for _ in range(10):
+            D = distances(random_cloud(rng, kind))
+            assert_matches_reference(D, float(rng.uniform(0.5, 1.0)) * float(D.max()))
+    for D, max_value, want in fixed_cases:
+        for max_dim in (0, 1):
+            got = rips_barcode(D, max_value, max_dim).intervals
+            assert got == want[max_dim], (max_value, max_dim)
+    assert any(batches)
+
+
+@pytest.mark.parametrize("cloud", ["klein-8x8", "mobius-40"])
+def test_no_stored_pivot_is_apparent(monkeypatch, cloud):
+    # the batch adds an apparent key's coboundary without asking whether a
+    # reduced column is stored under that key: none ever is
+    if cloud == "klein-8x8":
+        D, max_value = klein_8x8()
+    else:
+        D, max_value = circle_tautological(40).distance_matrix(), 1.3
+    edges, pivots = [], []
+    h1_bars, reduce_column = simplicial._h1_bars, simplicial._reduce_column
+
+    def recorded_h1_bars(n, iu, ju, values, tree):
+        edges.append((n, iu, ju, len(values)))
+        return h1_bars(n, iu, ju, values, tree)
+
+    def recorded_reduce_column(col, lookup, batch):
+        pivot, held = reduce_column(col, lookup, batch)
+        if pivot is not None:
+            pivots.append(pivot)
+        return pivot, held
+
+    monkeypatch.setattr(simplicial, "_h1_bars", recorded_h1_bars)
+    monkeypatch.setattr(simplicial, "_reduce_column", recorded_reduce_column)
+    rips_barcode(D, max_value, 1)
+    (n, iu, ju, E), = edges
+    R = np.full((n, n), E)
+    R[iu, ju] = R[ju, iu] = np.arange(E)
+    mid = np.maximum(R[iu], R[ju]).min(axis=1)  # the middle rank of each edge's earliest coface
+    E2 = E * E
+    assert pivots
+    assert all(mid[p // E2] != p // E % E for p in pivots)
 
 
 def _load_bench(name):
