@@ -35,24 +35,21 @@ from .datasets import (
     torus_normal,
 )
 from .grassmann import (
-    EigenDecomposition,
     GrassmannPoint,
     MatrixPoint,
     MedialAxisError,
     gamma_dist,
-    jacobi_eigh,
     line_projector,
     medial_distance,
     project_grassmannian,
     tmax,
 )
-from .projective import ProjectiveTriangulation, rp_face_map, sphere_face_map, triangulate_rp
+from .projective import ProjectiveTriangulation, triangulate_rp
 from .simplicial import (
     FilteredComplex,
     SimplicialComplex,
     barycentric_subdivision,
     clique_complex,
-    closed_star,
     is_simplicial_map,
     pullback_cochain,
     rips_barcode,

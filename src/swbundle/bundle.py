@@ -171,6 +171,8 @@ class LiftedCloud:
             if size > 2 ** 31:  # name its digit count: the number may run to hundreds of digits
                 digits = len(str(int(size)))
                 raise ValueError(f"'{key}' must be at most 2**31, got an integer of {digits} digits")
+            if size < 0:
+                raise ValueError(f"'{key}' must be non-negative, got {size!r}")
         if type(obj["gamma"]) not in (int, float):
             raise ValueError(f"'gamma' must be a number, got {obj['gamma']!r}")
         n, m = int(obj["n"]), int(obj["m"])

@@ -39,6 +39,9 @@ class GeneratorSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {_KINDS}")
         if self.count < 3 or (self.count2 is not None and self.count2 < 3):
             raise ValueError("counts must be at least 3")
+        if self.count2 is not None and self.kind.startswith("circle"):
+            raise ValueError(f"{self.kind} takes one count; a second count (grid columns) "
+                             "is for the torus and Klein surfaces")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
 

@@ -40,18 +40,6 @@ class MatrixPoint:
 
 
 @dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in decreasing order with the matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        O = self.eigenvectors
-        return O @ np.diag(self.eigenvalues) @ O.T
-
-
-@dataclass(frozen=True)
 class GrassmannPoint:
     """A rank-d orthogonal projection matrix, the embedding of a d-plane."""
 
@@ -67,12 +55,6 @@ class GrassmannPoint:
             raise ValueError("projector must be idempotent")
         if abs(np.trace(P) - self.d) > 1e-7:
             raise ValueError(f"projector trace {np.trace(P)} != d = {self.d}")
-
-    def top_direction(self) -> np.ndarray:
-        """Unit vector spanning the range, for d = 1."""
-        if self.d != 1:
-            raise ValueError("top_direction is only defined for lines")
-        return eigh_descending(self.P)[1][:, 0]
 
 
 def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
@@ -96,15 +78,6 @@ def eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Reads only the lower triangle; callers pass symmetric parts."""
     vals, vecs = np.linalg.eigh(S)
     return vals[..., ::-1], vecs[..., ::-1]
-
-
-def jacobi_eigh(S: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of one symmetric matrix; see jacobi_eigh_batch."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("matrix must be square")
-    vals, vecs = jacobi_eigh_batch(S[None])
-    return EigenDecomposition(vals[0], vecs[0])
 
 
 def jacobi_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,14 +76,6 @@ class ProjectiveTriangulation:
         ids = np.sort(np.where(keep, self._mask_to_l[masks], len(self.vertex_labels)), axis=1)
         return [tuple(row[:c]) for row, c in zip(ids.tolist(), keep.sum(axis=1).tolist())]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "vertex_labels": [sorted(lab) for lab in self.vertex_labels],
-            "simplices": self.L.to_json_obj(),
-            "w1": sorted(sorted(e) for e in self.w1.support),
-        }
-
 
 def _centered_unit(subset, m: int) -> np.ndarray:
     e = np.zeros(m + 1)
@@ -153,48 +145,3 @@ def triangulate_rp(m: int) -> ProjectiveTriangulation:
         _basis=_hyperplane_basis(m),
         _mask_to_l=mask_to_l,
     )
-
-
-def sphere_face_map(x: np.ndarray, T: ProjectiveTriangulation) -> tuple:
-    """The simplex of the subdivided sphere whose open cone holds the ray of x.
-
-    ``x`` is a unit vector of R^{m+1} lying in the sum-zero hyperplane.
-    Returns the simplex as its chain of label subsets: for each k where the
-    k-th and (k+1)-th largest coordinates of x differ by more than
-    FACE_EPSILON, the labels of the k largest.  A gap within FACE_EPSILON
-    counts as a tie, so near a cell boundary the result may be a face of
-    the exact simplex; that is harmless for the weak star machinery.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (T.m + 1,):
-        raise ValueError(f"expected a vector of R^{T.m + 1}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite vector")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-6:
-        raise ValueError("expected a unit vector")
-    if abs(x.sum()) > 1e-6:
-        raise ValueError("expected a vector in the sum-zero hyperplane")
-    xp = x @ T._basis
-    masks, keep = T._chains((xp / np.linalg.norm(xp))[None, :])
-    return tuple(
-        frozenset(i for i in range(T.m + 1) if mk >> i & 1) for mk in masks[0][keep[0]].tolist()
-    )
-
-
-def rp_face_map(v, T: ProjectiveTriangulation) -> tuple:
-    """Simplex of L containing the class of a line of R^m.
-
-    Accepts a nonzero direction vector or a rank-1 GrassmannPoint (whose top
-    eigenvector is extracted).  The answer does not depend on the sign of
-    the representative.
-    """
-    from .grassmann import GrassmannPoint
-
-    if isinstance(v, GrassmannPoint):
-        if v.d != 1:
-            raise ValueError("rp_face_map needs a line, d = 1")
-        v = v.top_direction()
-    v = np.asarray(v, dtype=float)
-    if v.shape != (T.m,):
-        raise ValueError(f"expected a direction in R^{T.m}")
-    return T.face_simplices(v[None, :])[0]

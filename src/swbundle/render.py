@@ -116,9 +116,11 @@ def lifebar_svg(lb: Lifebar) -> str:
     height = 72
 
     def sx(v: float) -> float:
-        return _MARGIN + span * v / lb.t_max
+        return _MARGIN + span * v / lb.t_max if lb.t_max > 0 else _MARGIN
 
     cut = lb.t_max if lb.empty else lb.t_dagger
+    # at a zero bound the zero part fills the bar, as lifebar_text draws it
+    x_cut = sx(cut) if lb.t_max > 0 else _WIDTH - _MARGIN
     defs = (
         "<defs>",
         '<pattern id="hatch" width="6" height="6" patternTransform="rotate(45)" '
@@ -128,12 +130,12 @@ def lifebar_svg(lb: Lifebar) -> str:
         "</defs>",
     )
     body = [
-        f'<rect x="{_fmt(sx(0.0))}" y="16" width="{_fmt(sx(cut) - sx(0.0))}" height="16" '
+        f'<rect x="{_fmt(sx(0.0))}" y="16" width="{_fmt(x_cut - sx(0.0))}" height="16" '
         f'fill="url(#hatch)" stroke="#555" stroke-width="0.5"/>',
     ]
     if not lb.empty:
         body.append(
-            f'<rect x="{_fmt(sx(cut))}" y="16" width="{_fmt(sx(lb.t_max) - sx(cut))}" '
+            f'<rect x="{_fmt(x_cut)}" y="16" width="{_fmt(sx(lb.t_max) - x_cut)}" '
             f'height="16" fill="#1a1a1a"/>'
         )
     caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"

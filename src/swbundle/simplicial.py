@@ -1,4 +1,4 @@
-"""Simplicial complexes, Rips filtrations, subdivision, stars, and pullbacks.
+"""Simplicial complexes, Rips filtrations, subdivision, and pullbacks.
 
 Vertices are integers.  Complexes carrying vertex payloads (coordinates in
 the ambient product space) must use contiguous vertex ids 0..V-1 so the
@@ -95,9 +95,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(v) for d, v in self.simplices.items())
 
-    def to_json_obj(self) -> list:
-        return [list(s) for d in sorted(self.simplices) for s in self.simplices[d]]
-
 
 @dataclass
 class FilteredComplex:
@@ -119,13 +116,6 @@ class FilteredComplex:
                 if self.values[s] < 0:
                     raise ValueError(f"negative filtration value at {s}")
         _check_monotone(self)
-
-    def to_json_obj(self) -> list:
-        out = []
-        for d in sorted(self.complex.simplices):
-            for s in self.complex.simplices[d]:
-                out.append({"simplex": list(s), "value": self.values[s]})
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,30 +547,6 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
             K.payloads[np.array(K.simplices[d])].mean(axis=1) for d in sorted(K.simplices)
         ])
     return SimplicialComplex(simplices, payloads=payloads, vertex_names=names, _trusted=True)
-
-
-def closed_star(K: SimplicialComplex, v: int) -> set:
-    """All faces of all simplices containing v."""
-    if (v,) not in K.simplex_set(0):
-        raise ValueError(f"unknown vertex {v}")
-    out: set[tuple] = set()
-    for simplices in K.simplices.values():
-        for s in simplices:
-            if v in s:
-                n = len(s)
-                for mask in range(1, 1 << n):
-                    face = tuple(s[i] for i in range(n) if mask >> i & 1)
-                    out.add(face)
-    return out
-
-
-def adjacency(K: SimplicialComplex) -> dict[int, set]:
-    """Neighbor sets in the 1-skeleton."""
-    adj: dict[int, set] = {v: set() for v in K.vertices}
-    for (a, b) in K.simplices.get(1, ()):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         prod = self.data.astype(np.int64) @ other.data.astype(np.int64)
@@ -150,9 +146,6 @@ class CochainZ2:
         for s in support:
             if len(s) != self.degree + 1:
                 raise ValueError(f"simplex {s} has wrong dimension for degree {self.degree}")
-
-    def __call__(self, simplex: Iterable[int]) -> int:
-        return 1 if tuple(simplex) in self.support else 0
 
     def __add__(self, other: "CochainZ2") -> "CochainZ2":
         if self.degree != other.degree:

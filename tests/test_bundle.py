@@ -27,8 +27,8 @@ from swbundle.datasets import (
     klein_normal,
     torus_normal,
 )
-from swbundle.grassmann import MedialAxisError, gamma_dist, line_projectors
-from swbundle.projective import rp_face_map, triangulate_rp
+from swbundle.grassmann import MedialAxisError, eigh_descending, gamma_dist, line_projectors
+from swbundle.projective import triangulate_rp
 from swbundle.simplicial import (
     SimplicialComplex,
     _flag_edges,
@@ -184,7 +184,7 @@ class TestVertexFaceValues:
         values = vertex_face_values(K, T2)
         for i in range(len(c)):
             direction = np.array([np.cos(np.pi * i / 12), np.sin(np.pi * i / 12)])
-            assert values[i] == rp_face_map(direction, T2)
+            assert values[i] == T2.face_simplices(direction)[0]
 
     def test_barycenter_of_equal_points(self, T2):
         xs = np.zeros((2, 2))
@@ -207,7 +207,8 @@ class TestVertexFaceValues:
         mean = mats.mean(axis=0)
         from swbundle.grassmann import project_grassmannian
 
-        expected = rp_face_map(project_grassmannian(mean, 1), T2)
+        line = eigh_descending(project_grassmannian(mean, 1).P)[1][:, 0]
+        expected = T2.face_simplices(line)[0]
         K = SimplicialComplex(
             [(0, 1)],
             payloads=np.concatenate([np.zeros((2, 2)), mats.reshape(2, -1)], axis=1),

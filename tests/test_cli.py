@@ -43,6 +43,8 @@ class TestGenerate:
     def test_bad_count_exits_2(self, tmp_path):
         assert run("generate", "--dataset", "mobius", "--count", "2",
                    "--output", str(tmp_path / "x.json")) == 2
+        assert run("generate", "--dataset", "mobius", "--count", "10", "--count-v", "5",
+                   "--output", str(tmp_path / "x.json")) == 2
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
     def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
@@ -163,6 +165,23 @@ class TestLifebarCommand:
         svg = (tmp_path / "lb.svg").read_text()
         assert 'fill="#1a1a1a"' not in svg  # nothing solid: empty lifebar
 
+    @pytest.mark.parametrize("render", ["svg", "text"])
+    def test_zero_bound_renders(self, tmp_path, render):
+        # gamma underflows the index bound to 0.0: the bar is all zero part
+        cloud = tmp_path / "c.json"
+        cloud.write_text(json.dumps({"n": 2, "m": 2, "gamma": 5e-324, "points": [
+            {"x": [k, 0], "A": [[0.5, 0], [0, 0]]} for k in range(4)]}))
+        out = tmp_path / "lb.json"
+        assert run("lifebar", "--input", str(cloud), "--output", str(out),
+                   "--render", render) == 0
+        assert json.loads(out.read_text())["t_max"] == 0.0
+        drawn = out.with_suffix(".svg" if render == "svg" else ".txt").read_text()
+        assert "nan" not in drawn
+        if render == "svg":
+            assert 'width="544" height="16" fill="url(#hatch)"' in drawn
+        else:
+            assert drawn.startswith("/" * 79 + "\n")
+
     def test_subdivision_limit_0_exits_0(self, tmp_path):
         cloud = tmp_path / "c.json"
         run("generate", "--dataset", "circle-normal", "--count", "8",
@@ -193,22 +212,37 @@ class TestLifebarCommand:
     def test_answers_without_the_paper_pipeline(self, tmp_path, monkeypatch):
         import swbundle.bundle as bundle
         import swbundle.cli as cli
+        import swbundle.simplicial as simplicial
+        import swbundle.z2 as z2
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the lifebar must not call the reference pipeline")
-
-        for module, name in ((bundle, "weak_simplicial_approximation"),
-                             (bundle, "barycentric_subdivision"),
-                             (bundle, "is_coboundary"), (cli, "triangulate_rp")):
-            monkeypatch.setattr(module, name, refuse)
         cloud = tmp_path / "c.json"
         run("generate", "--dataset", "klein", "--count", "12", "--noise", "0.03",
             "--output", str(cloud))
+        bounds = ([], ["--max-edge", "1.3"])
+        bars = tmp_path / "bars.json"
+        expected = []
+        for bound in bounds:
+            assert run("barcode", "--input", str(cloud), *bound, "--output", str(bars)) == 0
+            expected.append(bars.read_text())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lifebar and barcode must not call the reference pipeline")
+
+        for module, name in ((bundle, "weak_simplicial_approximation"),
+                             (bundle, "barycentric_subdivision"),
+                             (bundle, "is_coboundary"), (cli, "triangulate_rp"),
+                             (simplicial, "_flag_fill"), (simplicial, "rips_filtration"),
+                             (cli, "rips_filtration"), (z2, "barcode"), (cli, "barcode")):
+            monkeypatch.setattr(module, name, refuse)
         lb = bundle.lifebar(load_cloud(str(cloud)))
         out = tmp_path / "lb.json"
         assert run("lifebar", "--input", str(cloud), "--output", str(out)) == 0
         assert not lb.empty
         assert json.loads(out.read_text())["t_dagger"] == lb.t_dagger
+        for bound, text in zip(bounds, expected):
+            assert run("barcode", "--input", str(cloud), *bound, "--output", str(bars)) == 0
+            assert bars.read_text() == text
+        assert Barcode.from_json(expected[1]).in_dim(1)  # at 1.3 the H1 reduction has work
 
     @pytest.mark.parametrize("option, value, message", [
         ("--resolution", "nan", "resolution must be positive and finite"),
@@ -257,6 +291,8 @@ def _corrupt(obj, where):
         obj["points"][2]["A"][0][1] = 10 ** 400
     elif where == "n big int":  # a header size past any array
         obj["n"] = 10 ** 400
+    elif where in ("n negative", "m negative"):
+        obj[where[0]] = -1
     elif where == "m big float":
         obj["m"] = 1e300
     elif where == "gamma big int":
@@ -292,6 +328,8 @@ def _corrupt(obj, where):
     ("v mixed", "point 4 has 'v' of shape (3,), expected (2,)"),
     ("n big int", "'n' must be at most 2**31, got an integer of 401 digits"),
     ("m big float", "'m' must be at most 2**31, got an integer of 301 digits"),
+    ("n negative", "'n' must be non-negative, got -1"),
+    ("m negative", "'m' must be non-negative, got -1"),
     ("points", "'points' must be a list, got int"),
     ("point", "point 0 must be an object, got int"),
     ("n", "'n' must be an integer, got 2.5"),

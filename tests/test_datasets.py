@@ -56,6 +56,9 @@ class TestCircleGenerators:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             circle_normal(2, 1.0)
+        for kind in ("circle_normal", "circle_tautological"):
+            with pytest.raises(ValueError, match=f"{kind} takes one count"):
+                GeneratorSpec(kind, 10, count2=5)
 
 
 class TestSurfaceGenerators:

@@ -3,14 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from swbundle.grassmann import line_projector
-from swbundle.projective import (
-    ProjectiveTriangulation,
-    _centered_unit,
-    rp_face_map,
-    sphere_face_map,
-    triangulate_rp,
-)
+from swbundle.projective import ProjectiveTriangulation, _centered_unit, triangulate_rp
 from swbundle.z2 import betti_numbers, h1_generator, is_coboundary, is_cocycle
 
 
@@ -151,23 +144,19 @@ def _oracle_directions(T: ProjectiveTriangulation, rng) -> np.ndarray:
 
 class TestSphereFaceMap:
     def test_vertex_hit(self, T2):
-        x = T2.vertex_embeddings[0]
-        faces = sphere_face_map(x, T2)
-        assert frozenset({0}) in faces
+        v = T2.vertex_embeddings[0] @ T2._basis
+        assert 0 in T2.face_simplices(v)[0]
 
     def test_edge_midpoint(self, T2):
         a = _centered_unit(frozenset({0}), 2)
         b = _centered_unit(frozenset({0, 1}), 2)
         mid = a + b
         mid /= np.linalg.norm(mid)
-        assert sphere_face_map(mid, T2) == (frozenset({0}), frozenset({0, 1}))
+        assert T2.face_simplices(mid @ T2._basis) == [(0, 1)]
 
     def test_result_is_a_chain(self, T3, rng):
         for _ in range(100):
-            x = rng.normal(size=4)
-            x -= x.mean()
-            x /= np.linalg.norm(x)
-            chain = sphere_face_map(x, T3)
+            chain = T3.face_simplices(rng.normal(size=3))[0]
             for a, b in zip(chain, chain[1:]):
                 assert a < b
 
@@ -183,16 +172,6 @@ class TestSphereFaceMap:
                 for face in expected
             ]
             assert T.face_simplices(V) == quotient
-            for x, face in zip(X, expected):
-                assert frozenset(sphere_face_map(x / np.linalg.norm(x), T)) == face
-
-    def test_rejects_bad_input(self, T2):
-        with pytest.raises(ValueError):
-            sphere_face_map(np.array([1.0, 0.0, 0.0]), T2)  # not sum-zero
-        with pytest.raises(ValueError):
-            sphere_face_map(np.array([1.0, -2.0, 1.0]), T2)  # not unit
-        with pytest.raises(ValueError, match="non-finite"):
-            sphere_face_map(np.array([np.nan, 0.0, 0.0]), T2)
 
 
 class TestRPFaceMap:
@@ -201,48 +180,35 @@ class TestRPFaceMap:
             T = triangulate_rp(m)
             for _ in range(150):
                 v = rng.normal(size=m)
-                assert rp_face_map(v, T) == rp_face_map(-v, T)
+                assert T.face_simplices(v) == T.face_simplices(-v)
 
     def test_scale_invariance(self, T3, rng):
         for _ in range(50):
             v = rng.normal(size=3)
-            assert rp_face_map(v, T3) == rp_face_map(3.7 * v, T3)
+            assert T3.face_simplices(v) == T3.face_simplices(3.7 * v)
 
     def test_vertex_embedding_maps_to_vertex(self, T3):
         for i in range(len(T3.vertex_labels)):
             v = T3.vertex_embeddings[i] @ T3._basis
-            assert i in rp_face_map(v, T3)
+            assert i in T3.face_simplices(v)[0]
 
     def test_results_live_in_l(self, T3, rng):
         # 64 spread directions: results are simplices of L and agree with the
-        # quotient of the sphere face map
+        # quotient of the sphere face that the cone oracle finds
         for _ in range(64):
             v = rng.normal(size=3)
-            simplex = rp_face_map(v, T3)
+            simplex = T3.face_simplices(v)[0]
             assert simplex in T3.L
             x = (T3._basis @ (v / np.linalg.norm(v)))
-            chain = sphere_face_map(x / np.linalg.norm(x), T3)
+            chain = cone_oracle(3, (x / np.linalg.norm(x))[None])[0]
             full = frozenset(range(4))
             quotient = sorted(
                 {T3.vertex_labels.index(s if 0 in s else full - s) for s in chain}
             )
             assert tuple(quotient) == simplex
 
-    def test_accepts_grassmann_point(self, T2, rng):
-        v = rng.normal(size=2)
-        assert rp_face_map(line_projector(v), T2) == rp_face_map(v, T2)
-
     def test_rejects_zero(self, T2):
         with pytest.raises(ValueError):
-            rp_face_map(np.zeros(2), T2)
+            T2.face_simplices(np.zeros(2))
         with pytest.raises(ValueError, match="non-finite"):
-            rp_face_map(np.array([np.nan, 1.0]), T2)
-
-
-class TestExport:
-    def test_json_obj(self, T2):
-        obj = T2.to_json_obj()
-        assert obj["m"] == 2
-        assert obj["vertex_labels"] == [[0], [0, 1], [0, 2]]
-        assert [0, 1] in obj["simplices"]
-        assert all(len(e) == 2 for e in obj["w1"])
+            T2.face_simplices(np.array([np.nan, 1.0]))

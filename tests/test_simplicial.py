@@ -6,10 +6,8 @@ import pytest
 from swbundle.simplicial import (
     FilteredComplex,
     SimplicialComplex,
-    adjacency,
     barycentric_subdivision,
     clique_complex,
-    closed_star,
     is_simplicial_map,
     pullback_cochain,
     rips_filtration,
@@ -152,7 +150,8 @@ class TestSubdivision:
         # and each payload is exactly the mean over its simplex
         for _ in range(5):
             K = random_complex(rng, n_vertices=8, p_edge=0.6)
-            K = SimplicialComplex(K.to_json_obj(), payloads=rng.normal(size=(8, 3)))
+            simplices = [s for ss in K.simplices.values() for s in ss]
+            K = SimplicialComplex(simplices, payloads=rng.normal(size=(8, 3)))
             assert K.dim == 2
             S = barycentric_subdivision(K)
             for i, name in enumerate(S.vertex_names):
@@ -170,30 +169,6 @@ class TestSubdivision:
     def test_rejects_high_dimension(self):
         with pytest.raises(ValueError):
             barycentric_subdivision(SimplicialComplex([(0, 1, 2, 3)]))
-
-
-class TestStar:
-    def test_isolated_vertex(self):
-        K = SimplicialComplex([(0,)])
-        assert closed_star(K, 0) == {(0,)}
-
-    def test_path_center(self):
-        K = SimplicialComplex([(0, 1), (1, 2)])
-        assert closed_star(K, 1) == {(0,), (1,), (2,), (0, 1), (1, 2)}
-
-    def test_triangle_vertex(self):
-        K = SimplicialComplex([(0, 1, 2)])
-        assert closed_star(K, 0) == set().union(*K.simplices.values()) | {
-            s for ss in K.simplices.values() for s in ss
-        }
-
-    def test_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            closed_star(SimplicialComplex([(0, 1)]), 7)
-
-    def test_adjacency(self):
-        K = SimplicialComplex([(0, 1), (1, 2)])
-        assert adjacency(K) == {0: {1}, 1: {0, 2}, 2: {1}}
 
 
 class TestSimplicialMaps:
@@ -305,16 +280,3 @@ class TestFilteredComplexChecks:
         with pytest.raises(ValueError, match="non-monotone filtration at simplex \\(0, 1, 2\\)"):
             FilteredComplex(K, vals)
         FilteredComplex(K, {**vals, (0, 1, 2): 1.0 - 1e-13})  # within the slack
-
-
-class TestSerialization:
-    def test_complex_json(self):
-        K = SimplicialComplex([(0, 1)])
-        assert K.to_json_obj() == [[0], [1], [0, 1]]
-
-    def test_filtered_json(self):
-        F = FilteredComplex(
-            SimplicialComplex([(0, 1)]), {(0,): 0.0, (1,): 0.0, (0, 1): 0.5}
-        )
-        obj = F.to_json_obj()
-        assert {"simplex": [0, 1], "value": 0.5} in obj
