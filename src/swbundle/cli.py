@@ -14,10 +14,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import datasets
 # build_bundle_filtration, rips_index_bound, triangulate_rp, rips_filtration and barcode
 # are not called here; they stay importable from this module for bench/spans.py to time.
 from .bundle import (  # noqa: F401
+    _edge_blocks,
     build_bundle_filtration,
     checked_index_bound,
     lifebar,
@@ -25,7 +28,7 @@ from .bundle import (  # noqa: F401
 )
 from .projective import triangulate_rp  # noqa: F401
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
-from .simplicial import rips_barcode, rips_filtration  # noqa: F401
+from .simplicial import _check_max_value, _flag_barcode, rips_filtration  # noqa: F401
 from .z2 import barcode  # noqa: F401
 
 log = logging.getLogger("swbundle")
@@ -108,11 +111,24 @@ def _cmd_barcode(args) -> int:
         raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
     cloud = datasets.load_cloud(args.input)
     max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)
-    bc = rips_barcode(cloud.distance_matrix(), max_edge, args.max_dim)
+    bc = _cloud_barcode(cloud, max_edge, args.max_dim)
     Path(args.output).write_text(bc.to_json() + "\n")
     _write_rendering(args, barcode_svg, barcode_text, bc, max_edge)
     log.info("wrote %d bars to %s", len(bc.intervals), args.output)
     return 0
+
+
+def _cloud_barcode(cloud, max_value: float, max_dim: int):
+    """rips_barcode(cloud.distance_matrix(), max_value, max_dim), from the
+    edges that _edge_blocks lists in one block: no N x N matrix is built."""
+    _check_max_value(max_value)
+    n = len(cloud)
+    none = np.zeros(0, dtype=int)
+    # a float64 bound past ~1e154 squares to inf in the edge screen, not to an OverflowError
+    with np.errstate(over="ignore"):
+        i, j, values = next(_edge_blocks(cloud, np.float64(max_value), max(1, n * (n - 1) // 2)),
+                            (none, none, np.zeros(0)))
+    return _flag_barcode(n, i, j, values.tolist(), max_dim)
 
 
 def _cmd_lifebar(args) -> int:

@@ -148,8 +148,12 @@ def add_noise(cloud: LiftedCloud, sigma: float, seed: int) -> LiftedCloud:
         return cloud
     u, _ = _top_eigenvectors(cloud.mats, "point", solve=jacobi_eigh_batch)
     rng = np.random.default_rng(seed)
-    xs = cloud.xs + sigma * rng.normal(size=cloud.xs.shape)
-    return LiftedCloud(xs, line_projectors(u + sigma * rng.normal(size=u.shape)), cloud.gamma)
+    with np.errstate(over="ignore"):
+        xs = cloud.xs + sigma * rng.normal(size=cloud.xs.shape)
+        u = u + sigma * rng.normal(size=u.shape)
+    if not (np.isfinite(xs).all() and np.isfinite(u).all()):
+        raise ValueError(f"noise level {sigma} overflows a float")
+    return LiftedCloud(xs, line_projectors(u), cloud.gamma)
 
 
 # ---------------------------------------------------------------------------

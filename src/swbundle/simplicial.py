@@ -165,6 +165,11 @@ def _flag_fill(n_vertices: int, edges: list[tuple], edge_values: dict, max_dim: 
     return simplices, values
 
 
+def _check_max_value(max_value: float) -> None:
+    if not max_value >= 0:
+        raise ValueError(f"max value must be non-negative, got {max_value}")
+
+
 def _flag_edges(D: np.ndarray, max_value: float):
     """Validate a distance matrix and list the edges of its flag filtration.
 
@@ -172,8 +177,7 @@ def _flag_edges(D: np.ndarray, max_value: float):
     most max_value, in filtration order (by value, ties by (i, j)), as two
     index arrays and a list of values.
     """
-    if not max_value >= 0:
-        raise ValueError(f"max value must be non-negative, got {max_value}")
+    _check_max_value(max_value)
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     if D.shape != (n, n):
@@ -232,13 +236,20 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     """
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
-    n, iu, ju, values = _flag_edges(D, max_value)
+    return _flag_barcode(*_flag_edges(D, max_value), max_dim)
+
+
+def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: list, max_dim: int) -> Barcode:
+    """rips_barcode of the flag filtration on n vertices whose edges are
+    (iu[r], ju[r]) with values[r], in filtration order as _flag_edges lists
+    them; max_dim is 0 or 1."""
+    ranks = np.arange(len(values))
     full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
     if values and full.any():
-        top = np.zeros(n)
-        np.maximum.at(top, iu, values)
-        np.maximum.at(top, ju, values)
-        E = bisect.bisect_right(values, top[full].min())
+        last = np.zeros(n, dtype=ranks.dtype)  # a vertex's largest edge is its last one
+        np.maximum.at(last, iu, ranks)
+        np.maximum.at(last, ju, ranks)
+        E = bisect.bisect_right(values, values[last[full].min()])
         iu, ju, values = iu[:E], ju[:E], values[:E]
 
     forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(len(values), dtype=bool))])[1]
@@ -321,20 +332,29 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     triangle's third vertex.  Only then is coboundary(t) built, to be
     added; a lookup that finds no column builds nothing.
 
+    The scan also gives every other column's first key: edge mid[e] shares
+    one end with e, and its other end is the third vertex k of the earliest
+    coface, whose ranks are mid[e], e and min(R[a, k], R[b, k]); mid[e] == E
+    leaves the column empty, an infinite bar.  A first key that is neither
+    apparent nor a stored pivot pairs at once (an emergent pair, in Ripser's
+    terms): the column is stored as its edge and built only when a later
+    lookup reads it.  The columns whose first key is apparent are built
+    BLOCK_KEYS // n at a time, as stacked rows of R like a block of the scan.
+
     A long column adds the coboundaries of many apparent keys of its window
     at once (see ``_reduce_column``), built from at most BLOCK_KEYS // n
-    stacked rows of R like a block of the scan.  Every such key (t, m, l)
-    of edge e's column has t > e, as e itself is not apparent, so
-    coboundary(t) is a column that comes before e's in the reduction order.
-    Adding such columns never changes the pivot a reduction ends at, so
-    every interval stays the same.  An apparent key is never a stored pivot
-    (pivots are unique in a reduced matrix, and coboundary(t) already holds
-    it), so the batch skips that lookup.
+    stacked rows of R in the same way.  Every such key (t, m, l) of edge
+    e's column has t > e, as e itself is not apparent, so coboundary(t) is a
+    column that comes before e's in the reduction order.  Adding such
+    columns never changes the pivot a reduction ends at, so every interval
+    stays the same.  An apparent key is never a stored pivot (pivots are
+    unique in a reduced matrix, and coboundary(t) already holds it), so the
+    batch skips that lookup.
     """
     E = len(values)
-    if E ** 3 > 2 ** 63:
+    if (E + 1) ** 3 > 2 ** 63:  # (E + 1) ** 3 bounds every key _coface_keys computes
         raise ValueError(f"{E} edges: triangle keys would overflow int64")
-    E2 = E * E
+    E2, E3 = E * E, E ** 3
     ranks = np.arange(E)
     # R[a, b]: the rank of edge ab, E where there is none; int16 holds them
     # all when E < 2 ** 15, and halves the scan's memory traffic
@@ -347,23 +367,45 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     for start in range(0, todo.size, rows):
         block = todo[start: start + rows]
         mid[block] = np.maximum(R[iu[block]], R[ju[block]]).min(axis=1)
-    apparent = mid < ranks
-    R = R.astype(np.int64)  # keys reach E ** 3
+    R = R.astype(np.int64)  # keys reach (E + 1) ** 3
     # iu, ju and mid stay arrays: as Python lists they would take tens of bytes per edge
+
+    bars = [(1, values[e], INF) for e in np.flatnonzero(~tree & (mid == E)).tolist()]
+    cols = np.flatnonzero(~tree & (ranks < mid) & (mid < E))[::-1]  # latest first
+    m = mid[cols]
+    a, b, x, y = iu[cols], ju[cols], iu[m], ju[m]
+    k = np.where((x == a) | (x == b), y, x)  # edge m is ak or bk: the earliest coface is abk
+    lo = np.minimum(R[a, k], R[b, k])
+    second = np.maximum(lo, cols)
+    first = m * E2 + second * E + np.minimum(lo, cols)
+    apparent_first = mid[m] == second
 
     def coboundary(e: int) -> np.ndarray:
         keys = _coface_keys(R[iu[e]], R[ju[e]], e, E)
         keys.sort()
-        return keys
+        return keys[:keys.searchsorted(E3)]
 
-    pivots: dict = {}  # pivot -> reduced column, or its (window, runs, inbox) until first read
+    def initial_columns():
+        """The sorted coboundaries of the columns with an apparent first key, in order."""
+        ahead = cols[apparent_first]
+        for start in range(0, ahead.size, rows):
+            t = ahead[start: start + rows]
+            keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
+            keys.sort(axis=1)
+            sizes = np.count_nonzero(keys < E3, axis=1).tolist()
+            yield from (row[:size] for row, size in zip(keys, sizes))
+
+    # pivot -> reduced column, or its (window, runs, inbox) or its unbuilt edge until first read
+    pivots: dict = {}
 
     def lookup(pivot: int):
         col = pivots.get(pivot)
         if col is None:
             top = pivot // E2
             return coboundary(top) if mid[top] == pivot // E % E else None
-        if isinstance(col, tuple):
+        if isinstance(col, int):
+            col = pivots[pivot] = coboundary(col)
+        elif isinstance(col, tuple):
             col = pivots[pivot] = _materialise(*col)
         return col
 
@@ -373,15 +415,19 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
             return None
         top = win // E2
         t = top[mid[top] == win // E % E][:min(count, rows)]
-        return _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
+        keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
+        return keys[keys < E3]
 
-    bars = []
-    for e in np.flatnonzero(~(tree | apparent))[::-1].tolist():
-        pivot, col = _reduce_column(coboundary(e), lookup, batch)
-        if pivot is None:
-            bars.append((1, values[e], INF))
-            continue
-        pivots[pivot] = col
+    initial = initial_columns()
+    for e, pivot, apparent in zip(cols.tolist(), first.tolist(), apparent_first.tolist()):
+        if apparent or pivot in pivots:
+            pivot, col = _reduce_column(next(initial) if apparent else coboundary(e), lookup, batch)
+            if pivot is None:
+                bars.append((1, values[e], INF))
+                continue
+            pivots[pivot] = col
+        else:  # coboundary(e) is reduced as it stands
+            pivots[pivot] = e
         death = values[pivot // E2]
         if death > values[e]:
             bars.append((1, values[e], death))
@@ -390,10 +436,11 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
 
 def _coface_keys(ra: np.ndarray, rb: np.ndarray, e, E: int) -> np.ndarray:
     """Keys of the triangles abk of edge e = ab, unsorted, from the rank rows
-    ra = R[a] and rb = R[b].  Stacked rows take a column e of edge ranks."""
+    ra = R[a] and rb = R[b], one per k.  Where abk is not a triangle, its
+    top rank reads E and its key is at least E ** 3, past every triangle's.
+    Stacked rows take a column e of edge ranks."""
     hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
-    keys = np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
-    return keys[hi < E]
+    return np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
 
 
 # a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox

@@ -6,10 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swbundle.bundle import Lifebar
+from swbundle.bundle import LiftedCloud, Lifebar, checked_index_bound
 from swbundle.cli import main
-from swbundle.datasets import load_cloud
+from swbundle.datasets import (
+    add_noise,
+    circle_tautological,
+    klein_normal,
+    load_cloud,
+    save_cloud,
+)
 from swbundle.render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
+from swbundle.simplicial import rips_barcode
 from swbundle.z2 import INF, Barcode
 
 from test_sign_transport import TIE, sign_onset
@@ -17,6 +24,20 @@ from test_sign_transport import TIE, sign_onset
 
 def run(*args):
     return main(list(args))
+
+
+def _mobius_rows(rows):
+    cloud = circle_tautological(12)
+    return LiftedCloud(cloud.xs[rows], cloud.mats[rows], cloud.gamma)
+
+
+IDENTITY_CLOUDS = {
+    "one-point": lambda: _mobius_rows([0]),
+    # three points repeated: zero-length edges
+    "coincident": lambda: _mobius_rows([0, 1, 1, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 10, 11, 11]),
+    "mobius-100": lambda: circle_tautological(100),
+    "klein-8x8-noisy": lambda: add_noise(klein_normal(8, 8), 0.05, seed=4),
+}
 
 
 class TestGenerate:
@@ -46,13 +67,15 @@ class TestGenerate:
         assert run("generate", "--dataset", "mobius", "--count", "10", "--count-v", "5",
                    "--output", str(tmp_path / "x.json")) == 2
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1", "1e308"])
     def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
+        # at 1e308, sigma times a normal draw overflows: refused without a RuntimeWarning
+        message = ("noise level 1e+308 overflows a float" if noise == "1e308" else
+                   f"noise level must be finite and nonnegative, got {float(noise)}")
         out = tmp_path / "x.json"
         assert run("generate", "--dataset", "mobius", "--count", "20",
                    "--noise", noise, "--output", str(out)) == 2
-        assert f"noise level must be finite and nonnegative, got {float(noise)}" in \
-            capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_gamma_exits_2(self, tmp_path, capsys):
@@ -129,6 +152,24 @@ class TestBarcodeCommand:
         assert "nan" not in drawn
         coords = re.findall(r' [xy][12]?="([^"]*)"', drawn)
         assert (render == "text" or coords) and all(math.isfinite(float(c)) for c in coords)
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CLOUDS))
+    def test_matches_rips_barcode_of_the_distance_matrix(self, tmp_path, name):
+        # the CLI lists the edges without the N x N matrix; its JSON and text
+        # must still be rips_barcode(cloud.distance_matrix(), v, d)'s, byte for byte
+        path, out = tmp_path / "c.json", tmp_path / "bc.json"
+        save_cloud(IDENTITY_CLOUDS[name](), str(path))
+        cloud = load_cloud(str(path))
+        D = cloud.distance_matrix()
+        for bound in (0.0, 1e-300, 1.2, 1.3, None, 1e200, 1.79e308):
+            option = [] if bound is None else ["--max-edge", repr(bound)]
+            max_edge = checked_index_bound(cloud) if bound is None else bound
+            for max_dim in (0, 1):
+                assert run("barcode", "--input", str(path), *option, "--max-dim", str(max_dim),
+                           "--output", str(out), "--render", "text") == 0
+                bc = rips_barcode(D, max_edge, max_dim)
+                assert out.read_text() == bc.to_json() + "\n", (bound, max_dim)
+                assert out.with_suffix(".txt").read_text() == barcode_text(bc, max_edge)
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run("barcode", "--input", str(tmp_path / "nope.json"),
@@ -232,7 +273,9 @@ class TestLifebarCommand:
                              (bundle, "barycentric_subdivision"),
                              (bundle, "is_coboundary"), (cli, "triangulate_rp"),
                              (simplicial, "_flag_fill"), (simplicial, "rips_filtration"),
-                             (cli, "rips_filtration"), (z2, "barcode"), (cli, "barcode")):
+                             (cli, "rips_filtration"), (z2, "barcode"), (cli, "barcode"),
+                             (bundle.LiftedCloud, "distance_matrix"),
+                             (simplicial, "_flag_edges")):
             monkeypatch.setattr(module, name, refuse)
         lb = bundle.lifebar(load_cloud(str(cloud)))
         out = tmp_path / "lb.json"

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,103 @@ def test_no_stored_pivot_is_apparent(monkeypatch, cloud):
     assert all(mid[p // E2] != p // E % E for p in pivots)
 
 
+def trace_h1(monkeypatch, D, max_value):
+    """rips_barcode(D, max_value, 1), recording how its H1 columns were built.
+
+    Returns (barcode, scan, first, single, stacked, read): the edges whose
+    first key paired at once, found by replaying the reduction order with
+    each column's first key taken from its cofaces; those first keys, by
+    edge, each with whether it is apparent; the edges of the coboundary
+    rows built one at a time and as stacked rows (a Counter each); and the
+    pivots that lookups read.
+    """
+    graphs, ends, read = [], [], set()
+    single, stacked = Counter(), Counter()
+    h1_bars, reduce_column = simplicial._h1_bars, simplicial._reduce_column
+    coface_keys = simplicial._coface_keys
+
+    def recorded_h1_bars(n, iu, ju, values, tree):
+        graphs.append((n, iu, ju, len(values), tree))
+        return h1_bars(n, iu, ju, values, tree)
+
+    def recorded_coface_keys(ra, rb, e, E):
+        (single if ra.ndim == 1 else stacked).update(np.ravel(e).tolist())
+        return coface_keys(ra, rb, e, E)
+
+    def recorded_reduce_column(col, lookup, batch):
+        def recorded_lookup(pivot):
+            read.add(pivot)
+            return lookup(pivot)
+
+        pivot, held = reduce_column(col, recorded_lookup, batch)
+        ends.append(pivot)
+        return pivot, held
+
+    monkeypatch.setattr(simplicial, "_h1_bars", recorded_h1_bars)
+    monkeypatch.setattr(simplicial, "_coface_keys", recorded_coface_keys)
+    monkeypatch.setattr(simplicial, "_reduce_column", recorded_reduce_column)
+    bc = rips_barcode(D, max_value, 1)
+    if not graphs:
+        return bc, [], {}, single, stacked, read
+    (n, iu, ju, E, tree), = graphs
+    R = np.full((n, n), E)
+    R[iu, ju] = R[ju, iu] = np.arange(E)
+    mid = np.where(tree, E, np.maximum(R[iu], R[ju]).min(axis=1))
+    E2 = E * E
+    scan, first, stored, reductions = [], {}, set(), iter(ends)
+    for e in range(E - 1, -1, -1):
+        a, b = iu[e], ju[e]
+        cofaces = sorted(sorted((e, R[a, k], R[b, k]), reverse=True)
+                         for k in np.flatnonzero((R[a] < E) & (R[b] < E)))
+        if tree[e] or mid[e] < e or not cofaces:  # cleared, apparent or empty
+            continue
+        t, m, low = cofaces[0]
+        key = t * E2 + m * E + low
+        first[e] = key, mid[t] == m
+        if mid[t] != m and key not in stored:
+            scan.append(e)
+            stored.add(key)
+        else:
+            stored.add(next(reductions))
+    assert next(reductions, "none left") == "none left"
+    return bc, scan, first, single, stacked, read
+
+
+def test_scan_pairs_build_only_what_a_lookup_reads(monkeypatch):
+    D = add_noise(klein_normal(16, 16), 0.05, seed=0).distance_matrix()
+    bc, scan, first, single, stacked, read = trace_h1(monkeypatch, D, 1.3)
+    assert_matches_stored(bc.intervals, "barcode klein-16-n0.05 max-edge 1.3")
+    assert len(first) == 308 and len(scan) == 148
+    for e in scan:  # built once if a later lookup reads it, else never
+        assert single[e] + stacked[e] == (first[e][0] in read)
+    assert 0 < sum(first[e][0] in read for e in scan) < len(scan)
+    # the other columns are built once each: stacked when their first key is
+    # apparent, alone when it is a stored pivot
+    for e in first.keys() - set(scan):
+        assert (single[e], stacked[e]) == ((0, 1) if first[e][1] else (1, 0))
+    assert sum(apparent for _, apparent in first.values()) > 100
+
+
+@pytest.mark.parametrize("window", [1, 8, 512])
+def test_scan_pairs_read_later_are_built(rng, monkeypatch, fixed_cases, window):
+    monkeypatch.setattr(simplicial, "WINDOW", window)
+    cases = list(fixed_cases)
+    for kind in ("plain", "rounded", "duplicates"):
+        for _ in range(10):
+            D = distances(random_cloud(rng, kind))
+            max_value = float(rng.uniform(0.5, 1.0)) * float(D.max())
+            cases.append((D, max_value, [reference(D, max_value, d).intervals for d in (0, 1)]))
+    read_later = 0
+    for D, max_value, want in cases:
+        with monkeypatch.context() as patches:
+            bc, scan, first, single, stacked, read = trace_h1(patches, D, max_value)
+        assert bc.intervals == want[1]
+        for e in scan:
+            assert single[e] + stacked[e] == (first[e][0] in read)
+            read_later += first[e][0] in read
+    assert read_later
+
+
 def _load_bench(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -239,8 +337,13 @@ def test_barcode_flag_references(barcode_flag_clouds, tmp_path, request_):
     argv = [request_.command, "--input", str(barcode_flag_clouds / f"{request_.cloud}.json"),
             *request_.args, "--output", str(out), "--render", "json"]
     assert cli.main(argv) == 0
-    got = sorted(Barcode.from_json(out.read_text()).intervals)
-    want = json.loads((BENCH / "refs" / "barcodes.json").read_text())[request_.name]
+    assert_matches_stored(Barcode.from_json(out.read_text()).intervals, request_.name)
+
+
+def assert_matches_stored(intervals, name):
+    """intervals against the stored reference barcode of barcode-flag request name."""
+    got = sorted(intervals)
+    want = json.loads((BENCH / "refs" / "barcodes.json").read_text())[name]
     assert len(got) == len(want)
     for (dim, birth, death), (ref_dim, ref_birth, ref_death) in zip(got, sorted(
             (d, b, INF if e is None else e) for d, b, e in want)):
