@@ -5,68 +5,41 @@ gamma-weighted product norm; wherever the matrix parts stay off the medial
 axis of G_1(R^m), that filtration carries projection maps to the projective
 space, and the pulled-back generator of H^1(RP^{m-1}, Z/2) is the first
 persistent class.  The lifebar records where it is nonzero.
+
+The production modules are cli, datasets, render, bundle and grassmann; the
+reference modules simplicial, z2 and projective hold the paper's decider and
+the test oracles.  Every name below loads its module on first use, so
+``from swbundle import cli`` loads no reference module.
 """
 
-from .bundle import (
-    Lifebar,
-    LiftedCloud,
-    SubdivisionLimitError,
-    SWResult,
-    build_bundle_filtration,
-    hausdorff_distance,
-    lifebar,
-    lift_cloud,
-    rips_index_bound,
-    sw_class_at,
-    vertex_face_values,
-    weak_simplicial_approximation,
-    weak_star_check,
-)
-from .datasets import (
-    GeneratorSpec,
-    add_noise,
-    circle_normal,
-    circle_tautological,
-    generate,
-    klein_normal,
-    load_cloud,
-    save_cloud,
-    tangent_lift,
-    torus_normal,
-)
-from .grassmann import (
-    GrassmannPoint,
-    MatrixPoint,
-    MedialAxisError,
-    gamma_dist,
-    line_projector,
-    medial_distance,
-    project_grassmannian,
-    tmax,
-)
-from .projective import ProjectiveTriangulation, triangulate_rp
-from .simplicial import (
-    FilteredComplex,
-    SimplicialComplex,
-    barycentric_subdivision,
-    clique_complex,
-    is_simplicial_map,
-    pullback_cochain,
-    rips_barcode,
-    rips_filtration,
-)
-from .z2 import (
-    Barcode,
-    BitMatrix,
-    CochainZ2,
-    barcode,
-    betti_numbers,
-    coboundary_matrix,
-    gf2_rank,
-    gf2_solve,
-    h1_generator,
-    is_coboundary,
-    is_cocycle,
-)
+import importlib
+
+_EXPORTS = {
+    "bundle": ("Barcode", "Lifebar", "LiftedCloud", "hausdorff_distance", "lifebar",
+               "lift_cloud", "rips_index_bound"),
+    "datasets": ("GeneratorSpec", "add_noise", "circle_normal", "circle_tautological",
+                 "generate", "klein_normal", "load_cloud", "save_cloud", "tangent_lift",
+                 "torus_normal"),
+    "grassmann": ("GrassmannPoint", "MatrixPoint", "MedialAxisError", "gamma_dist",
+                  "line_projector", "medial_distance", "project_grassmannian", "tmax"),
+    "projective": ("ProjectiveTriangulation", "SubdivisionLimitError", "SWResult",
+                   "build_bundle_filtration", "sw_class_at", "triangulate_rp",
+                   "vertex_face_values", "weak_simplicial_approximation", "weak_star_check"),
+    "simplicial": ("FilteredComplex", "SimplicialComplex", "barycentric_subdivision",
+                   "clique_complex", "is_simplicial_map", "pullback_cochain", "rips_barcode",
+                   "rips_filtration"),
+    "z2": ("BitMatrix", "CochainZ2", "barcode", "betti_numbers", "coboundary_matrix",
+           "gf2_rank", "gf2_solve", "h1_generator", "is_coboundary", "is_cocycle"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

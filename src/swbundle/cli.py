@@ -1,13 +1,15 @@
 """Command line front end: generate clouds, compute barcodes, compute lifebars.
 
-Exit codes: 0 on success, 2 on bad input.  Verbosity comes from the
-SWBUNDLE_LOG environment variable (debug / info / warning).
+Exit codes: 0 on success, 2 on bad input or when memory runs out.
+Verbosity comes from the SWBUNDLE_LOG environment variable (debug / info /
+warning).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import logging
 import math
 import os
@@ -17,19 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets
-# build_bundle_filtration, rips_index_bound, triangulate_rp, rips_filtration and barcode
-# are not called here; they stay importable from this module for bench/spans.py to time.
-from .bundle import (  # noqa: F401
-    _edge_blocks,
-    build_bundle_filtration,
-    checked_index_bound,
-    lifebar,
-    rips_index_bound,
-)
-from .projective import triangulate_rp  # noqa: F401
+from .bundle import _check_max_value, _edge_blocks, _flag_barcode, checked_index_bound, lifebar
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
-from .simplicial import _check_max_value, _flag_barcode, rips_filtration  # noqa: F401
-from .z2 import barcode  # noqa: F401
 
 log = logging.getLogger("swbundle")
 
@@ -74,8 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     life = sub.add_parser("lifebar", help="lifebar of the first persistent class")
     life.add_argument("--input", required=True)
-    life.add_argument("--resolution", type=float, default=0.02)
-    life.add_argument("--subdiv-limit", type=int, default=4)
+    life.add_argument("--resolution", type=float, default=0.02,
+                      help="validated (positive and finite) and written to the output; "
+                           "steers nothing, since the onset is exact")
+    life.add_argument("--subdiv-limit", type=int, default=4,
+                      help="validated (non-negative); steers nothing, since the parity "
+                           "sweep needs no subdivision")
     life.add_argument("--output", required=True)
     life.add_argument("--render", choices=("svg", "text", "json"), default="svg")
     life.add_argument("--render-output", default=None)
@@ -156,6 +151,24 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MemoryError as err:  # numpy's "Unable to allocate ..." names the size
+        detail = f": {err}" if str(err) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
+
+# bench/spans.py times these names in this module, which calls none of them:
+# each resolves, on first use, in the module that defines it
+_TRACED = {
+    "build_bundle_filtration": "projective", "triangulate_rp": "projective",
+    "rips_index_bound": "bundle", "rips_filtration": "simplicial", "barcode": "z2",
+}
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
 
 
 if __name__ == "__main__":

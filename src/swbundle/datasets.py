@@ -22,6 +22,10 @@ _KINDS = ("circle_normal", "circle_tautological", "torus_normal", "klein_normal"
 
 _FD_STEP = 1e-5  # central-difference step for numerically computed normals
 
+# largest generated cloud: lifebar and barcode form an N x N Gram product,
+# 8 TiB of float64 at this size
+MAX_POINTS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -42,6 +46,10 @@ class GeneratorSpec:
         if self.count2 is not None and self.kind.startswith("circle"):
             raise ValueError(f"{self.kind} takes one count; a second count (grid columns) "
                              "is for the torus and Klein surfaces")
+        points = self.count * (1 if self.kind.startswith("circle") else self.count2 or self.count)
+        if points > MAX_POINTS:
+            raise ValueError(f"{points} points requested, more than the cap of {MAX_POINTS} "
+                             "(2**20): lifebar and barcode form an N x N Gram product")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
 

@@ -9,17 +9,31 @@ through a sum-zero x lies in the cone of the chain S_1 < ... < S_m exactly
 when each S_k holds the labels of the k largest coordinates of x.  Built
 here: the quotient 2-skeleton with the generator of H^1 in closed form, unit
 embeddings of the vertices, and that coordinate-order face map.
+
+Also here, as reference code off every CLI path: the paper's decider.
+sw_class_at approximates a cloud's Grassmannian projection by a weak
+simplicial approximation into L, pulls w1 back and tests it for being a
+coboundary; the tests cross-check bundle.lifebar's parity sweep against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .simplicial import SimplicialComplex
-from .z2 import CochainZ2
+from .bundle import SQRT2, LiftedCloud, _top_eigenvectors, checked_index_bound, rips_index_bound
+from .simplicial import (
+    SimplicialComplex,
+    FilteredComplex,
+    barycentric_subdivision,
+    is_simplicial_map,
+    pullback_cochain,
+    rips_filtration,
+)
+from .z2 import CochainZ2, is_coboundary
 
 FACE_EPSILON = 1e-9  # coordinate gaps <= FACE_EPSILON count as ties
 
@@ -144,4 +158,178 @@ def triangulate_rp(m: int) -> ProjectiveTriangulation:
         w1=CochainZ2(1, frozenset(w1)),
         _basis=_hyperplane_basis(m),
         _mask_to_l=mask_to_l,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The paper's reference decider: refusal and the bundle filtration
+# ---------------------------------------------------------------------------
+
+class SubdivisionLimitError(RuntimeError):
+    """Raised when the weak star condition keeps failing at the subdivision cap."""
+
+    def __init__(self, subdivisions: int, failing_vertex, t: Optional[float] = None):
+        self.subdivisions = subdivisions
+        self.failing_vertex = failing_vertex
+        self.t = t
+        super().__init__()
+
+    def __str__(self) -> str:
+        at = f" at t = {self.t:g}" if self.t is not None else ""
+        return (
+            f"weak star condition still failing after {self.subdivisions} subdivisions{at} "
+            f"(first failing vertex: {self.failing_vertex})"
+        )
+
+
+def build_bundle_filtration(cloud: LiftedCloud, max_t: float) -> FilteredComplex:
+    """Flag-complex filtration of the cloud with vertex payloads attached.
+
+    max_t must stay within the bundle index bound; use rips_filtration
+    directly for plain persistence past that scale.
+    """
+    bound = rips_index_bound(cloud)
+    if max_t > bound + 1e-12:
+        raise ValueError(f"max_t = {max_t:g} exceeds the bundle index bound {bound:g}")
+    return rips_filtration(cloud.distance_matrix(), max_t, 2, payloads=cloud.payloads())
+
+
+# ---------------------------------------------------------------------------
+# Weak simplicial approximation
+# ---------------------------------------------------------------------------
+
+def vertex_face_values(K: SimplicialComplex, T: ProjectiveTriangulation) -> dict:
+    """Face-map image in L of every vertex payload's matrix part.
+
+    Each vertex of K (a data point, or a barycenter after subdivisions)
+    carries a payload whose matrix block is projected to G_1 and located in
+    the triangulation.  Raises MedialAxisError when a payload's eigen-gap
+    vanishes, which the index bound makes impossible for honest inputs but
+    is asserted rather than assumed.
+    """
+    if K.payloads is None:
+        raise ValueError("complex carries no vertex payloads")
+    m = T.m
+    if K.payloads.shape[1] < m * m:
+        raise ValueError("payload width too small for the matrix block")
+    mats = K.payloads[:, K.payloads.shape[1] - m * m:].reshape(-1, m, m)
+    return dict(enumerate(T.face_simplices(_top_eigenvectors(mats, "vertex")[0])))
+
+
+def weak_star_check(K: SimplicialComplex, values: Mapping[int, tuple], _pick: str = "min"):
+    """Try to pick an L-vertex shared by the face values of each closed star.
+
+    Returns (assignment, None) on success, (None, first_failing_vertex) when
+    some vertex has no common target.  The assignment takes the smallest
+    vertex id of the intersection, which keeps runs reproducible (_pick is a
+    testing hook: any choice yields an equivalent approximation).
+    """
+    masks: dict[int, int] = {}
+    for v, simplex in values.items():
+        mk = 0
+        for i in simplex:
+            mk |= 1 << i
+        masks[v] = mk
+    common = dict(masks)
+    for (a, b) in K.simplices.get(1, ()):
+        common[a] &= masks[b]
+        common[b] &= masks[a]
+    assignment: dict[int, int] = {}
+    for v in sorted(common):
+        mk = common[v]
+        if mk == 0:
+            return None, v
+        if _pick == "min":
+            assignment[v] = (mk & -mk).bit_length() - 1
+        else:
+            assignment[v] = mk.bit_length() - 1
+    return assignment, None
+
+
+def weak_simplicial_approximation(
+    K: SimplicialComplex,
+    T: ProjectiveTriangulation,
+    subdiv_limit: int = 4,
+    _pick: str = "min",
+):
+    """Subdivide until the weak star condition holds; return (f, K', k).
+
+    f maps vertices of the k-times subdivided complex K' to vertices of T.L
+    and is guaranteed simplicial on success.  Raises SubdivisionLimitError
+    when subdiv_limit subdivisions were not enough.
+    """
+    if K.dim > 2:
+        raise ValueError("pipeline complexes are capped at dimension 2")
+    if subdiv_limit < 0:
+        raise ValueError(f"subdivision limit must be non-negative, got {subdiv_limit}")
+    current = K
+    for k in range(subdiv_limit + 1):
+        if k:
+            current = barycentric_subdivision(current)
+        values = vertex_face_values(current, T)
+        assignment, failing = weak_star_check(current, values, _pick=_pick)
+        if assignment is not None:
+            if not is_simplicial_map(assignment, current, T.L):
+                raise RuntimeError("weak star assignment is not simplicial; construction broken")
+            return assignment, current, k
+    raise SubdivisionLimitError(subdiv_limit, failing)
+
+
+# ---------------------------------------------------------------------------
+# Class evaluation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SWResult:
+    """Verdict of one class evaluation at index t.
+
+    The pulled-back cocycle and the vertex map live on the flag graph at
+    scale sqrt(2) * t, subdivided subdivisions_used times.
+    """
+
+    t: float
+    nonzero: bool
+    subdivisions_used: int
+    pullback_cocycle: CochainZ2
+    approximation: dict
+
+
+def _complex_at_scale(cloud: LiftedCloud, scale: float) -> SimplicialComplex:
+    """The flag graph of the cloud at the scale."""
+    return rips_filtration(cloud.distance_matrix(), scale, 1, payloads=cloud.payloads()).complex
+
+
+def sw_class_at(
+    cloud: LiftedCloud,
+    t: float,
+    T: ProjectiveTriangulation,
+    subdiv_limit: int = 4,
+    _pick: str = "min",
+) -> SWResult:
+    """Decide whether the first persistent class is nonzero at index t.
+
+    The paper's reference decider: builds the flag graph at scale
+    sqrt(2) * t, finds a weak simplicial approximation of the Grassmannian
+    projection into T, pulls the generator back, and tests it for being a
+    coboundary.  H^1 of the flag complex injects into H^1 of its graph, so
+    the graph decides the class.
+    """
+    if T.m != cloud.m:
+        raise ValueError("triangulation ambient dimension does not match the cloud")
+    bound = checked_index_bound(cloud)
+    if not 0.0 <= t < bound:
+        raise ValueError(f"t = {t:g} outside the index set [0, {bound:g})")
+    K = _complex_at_scale(cloud, SQRT2 * t)
+    try:
+        f, Kp, k = weak_simplicial_approximation(K, T, subdiv_limit, _pick=_pick)
+    except SubdivisionLimitError as err:
+        err.t = t
+        raise
+    pb = pullback_cochain(f, Kp, T.L, T.w1, check=False)
+    return SWResult(
+        t=t,
+        nonzero=not is_coboundary(Kp, pb),
+        subdivisions_used=k,
+        pullback_cocycle=pb,
+        approximation=f,
     )

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import sys
 
-from .bundle import Lifebar
-from .z2 import INF, Barcode
+from .bundle import INF, Barcode, Lifebar
 
 _DIM_COLORS = ("#c0392b", "#27ae60", "#2980b9", "#8e44ad")
 

@@ -1,5 +1,9 @@
 """Simplicial complexes, Rips filtrations, subdivision, and pullbacks.
 
+Reference code, off every CLI path: the paper's decider (projective) and the
+tests build on it.  rips_barcode lists a distance matrix's edges and hands
+them to bundle's flag-barcode core, which the CLI calls directly.
+
 Vertices are integers.  Complexes carrying vertex payloads (coordinates in
 the ambient product space) must use contiguous vertex ids 0..V-1 so the
 payloads can live in one array; the subdivision re-indexes accordingly and
@@ -8,13 +12,13 @@ records the provenance of each new vertex in ``vertex_names``.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .z2 import INF, Barcode, CochainZ2, _check_monotone
+from .bundle import Barcode, _check_max_value, _flag_barcode
+from .z2 import CochainZ2, _check_monotone
 
 
 def _canonical(simplex: Iterable[int]) -> tuple:
@@ -165,11 +169,6 @@ def _flag_fill(n_vertices: int, edges: list[tuple], edge_values: dict, max_dim: 
     return simplices, values
 
 
-def _check_max_value(max_value: float) -> None:
-    if not max_value >= 0:
-        raise ValueError(f"max value must be non-negative, got {max_value}")
-
-
 def _flag_edges(D: np.ndarray, max_value: float):
     """Validate a distance matrix and list the edges of its flag filtration.
 
@@ -237,308 +236,6 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")
     return _flag_barcode(*_flag_edges(D, max_value), max_dim)
-
-
-def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: list, max_dim: int) -> Barcode:
-    """rips_barcode of the flag filtration on n vertices whose edges are
-    (iu[r], ju[r]) with values[r], in filtration order as _flag_edges lists
-    them; max_dim is 0 or 1."""
-    ranks = np.arange(len(values))
-    full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
-    if values and full.any():
-        last = np.zeros(n, dtype=ranks.dtype)  # a vertex's largest edge is its last one
-        np.maximum.at(last, iu, ranks)
-        np.maximum.at(last, ju, ranks)
-        E = bisect.bisect_right(values, values[last[full].min()])
-        iu, ju, values = iu[:E], ju[:E], values[:E]
-
-    forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(len(values), dtype=bool))])[1]
-    tree = np.zeros(len(values), dtype=bool)
-    tree[forest] = True
-    bars = [(0, 0.0, values[e]) for e in forest if values[e] > 0.0]
-    bars += [(0, 0.0, INF)] * (n - len(forest))
-    if max_dim == 1 and values:
-        bars += _h1_bars(n, iu, ju, values, tree)
-    bars.sort()
-    return Barcode(tuple(bars))
-
-
-def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
-    """Kruskal's union-find on n vertices with a Z/2 flip on each edge.
-
-    blocks yields (i, j, flips) arrays, the edges ij in filtration order and
-    whether each flips.  Returns (closing, forest): the position of the
-    first edge that closes a cycle with an odd number of flips (None if
-    none does), and the positions of the spanning-forest edges, the ones
-    before it that join two components.  Once n - 1 merges connect the
-    graph, every vertex has a fixed parity to the one root, and each later
-    edge closes an odd cycle iff its flip differs from its ends' parities.
-    """
-    parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
-    size = [1] * n  # a root's component size: the smaller root goes under the larger
-
-    def find(a: int):
-        odd = 0
-        while parent[a] != a:  # path halving
-            p = parent[a]
-            parity[a] ^= parity[p]
-            parent[a] = parent[p]
-            odd ^= parity[a]
-            a = parent[a]
-        return a, odd
-
-    forest, labels, lo = [], None, 0  # labels: each vertex's parity to the root, once connected
-    for bi, bj, flips in blocks:
-        start = 0
-        if labels is None:
-            for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
-                # a root's parity is 0, so a root or a root's child needs no find
-                ri, pi = (parent[i], parity[i]) if parent[parent[i]] == parent[i] else find(i)
-                rj, pj = (parent[j], parity[j]) if parent[parent[j]] == parent[j] else find(j)
-                if ri != rj:
-                    if size[ri] > size[rj]:
-                        ri, rj = rj, ri
-                    parent[ri], parity[ri] = rj, pi ^ pj ^ flip
-                    size[rj] += size[ri]
-                    forest.append(lo + e)
-                    if len(forest) == n - 1:
-                        labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
-                        start = e + 1
-                        break
-                elif pi ^ pj ^ flip:
-                    return lo + e, forest
-        if labels is not None:
-            odd = np.flatnonzero(labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:])
-            if odd.size:
-                return lo + start + int(odd[0]), forest
-        lo += len(flips)
-    return None, forest
-
-
-def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndarray) -> list:
-    """Degree-1 intervals of the flag filtration whose edges, in filtration
-    order, are (iu[r], ju[r]) with values[r]; tree marks the H0 deaths.
-
-    A triangle is keyed by its edge ranks in descending order, packed into
-    one int64, so that key order is a filtration order.  Edge e's column is
-    its coboundary, a sorted key array, and its pivot is its smallest key
-    (its earliest coface).  Columns are reduced from the latest edge to the
-    earliest; tree edges are cleared.  Edge e is apparent when some vertex k
-    has max(R[a, k], R[b, k]) < e: its earliest coface then has e as its
-    latest edge, a zero-length pair that needs no reduction.  A scan records
-    mid[e] = min_k max(R[a, k], R[b, k]) for every other edge, and only
-    that.  A key with ranks (t, m, l) is the first key of coboundary(t),
-    and so an apparent pair's pivot, iff mid[t] == m: rank m fixes the
-    triangle's third vertex.  Only then is coboundary(t) built, to be
-    added; a lookup that finds no column builds nothing.
-
-    The scan also gives every other column's first key: edge mid[e] shares
-    one end with e, and its other end is the third vertex k of the earliest
-    coface, whose ranks are mid[e], e and min(R[a, k], R[b, k]); mid[e] == E
-    leaves the column empty, an infinite bar.  A first key that is neither
-    apparent nor a stored pivot pairs at once (an emergent pair, in Ripser's
-    terms): the column is stored as its edge and built only when a later
-    lookup reads it.  The columns whose first key is apparent are built
-    BLOCK_KEYS // n at a time, as stacked rows of R like a block of the scan.
-
-    A long column adds the coboundaries of many apparent keys of its window
-    at once (see ``_reduce_column``), built from at most BLOCK_KEYS // n
-    stacked rows of R in the same way.  Every such key (t, m, l) of edge
-    e's column has t > e, as e itself is not apparent, so coboundary(t) is a
-    column that comes before e's in the reduction order.  Adding such
-    columns never changes the pivot a reduction ends at, so every interval
-    stays the same.  An apparent key is never a stored pivot (pivots are
-    unique in a reduced matrix, and coboundary(t) already holds it), so the
-    batch skips that lookup.
-    """
-    E = len(values)
-    if (E + 1) ** 3 > 2 ** 63:  # (E + 1) ** 3 bounds every key _coface_keys computes
-        raise ValueError(f"{E} edges: triangle keys would overflow int64")
-    E2, E3 = E * E, E ** 3
-    ranks = np.arange(E)
-    # R[a, b]: the rank of edge ab, E where there is none; int16 holds them
-    # all when E < 2 ** 15, and halves the scan's memory traffic
-    R = np.full((n, n), E, dtype=np.int16 if E < 2 ** 15 else np.int32)
-    R[iu, ju] = ranks
-    R[ju, iu] = ranks
-    mid = np.full(E, E)
-    todo = np.flatnonzero(~tree)
-    rows = max(1, BLOCK_KEYS // n)  # rows of R per block
-    for start in range(0, todo.size, rows):
-        block = todo[start: start + rows]
-        mid[block] = np.maximum(R[iu[block]], R[ju[block]]).min(axis=1)
-    R = R.astype(np.int64)  # keys reach (E + 1) ** 3
-    # iu, ju and mid stay arrays: as Python lists they would take tens of bytes per edge
-
-    bars = [(1, values[e], INF) for e in np.flatnonzero(~tree & (mid == E)).tolist()]
-    cols = np.flatnonzero(~tree & (ranks < mid) & (mid < E))[::-1]  # latest first
-    m = mid[cols]
-    a, b, x, y = iu[cols], ju[cols], iu[m], ju[m]
-    k = np.where((x == a) | (x == b), y, x)  # edge m is ak or bk: the earliest coface is abk
-    lo = np.minimum(R[a, k], R[b, k])
-    second = np.maximum(lo, cols)
-    first = m * E2 + second * E + np.minimum(lo, cols)
-    apparent_first = mid[m] == second
-
-    def coboundary(e: int) -> np.ndarray:
-        keys = _coface_keys(R[iu[e]], R[ju[e]], e, E)
-        keys.sort()
-        return keys[:keys.searchsorted(E3)]
-
-    def initial_columns():
-        """The sorted coboundaries of the columns with an apparent first key, in order."""
-        ahead = cols[apparent_first]
-        for start in range(0, ahead.size, rows):
-            t = ahead[start: start + rows]
-            keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
-            keys.sort(axis=1)
-            sizes = np.count_nonzero(keys < E3, axis=1).tolist()
-            yield from (row[:size] for row, size in zip(keys, sizes))
-
-    # pivot -> reduced column, or its (window, runs, inbox) or its unbuilt edge until first read
-    pivots: dict = {}
-
-    def lookup(pivot: int):
-        col = pivots.get(pivot)
-        if col is None:
-            top = pivot // E2
-            return coboundary(top) if mid[top] == pivot // E % E else None
-        if isinstance(col, int):
-            col = pivots[pivot] = coboundary(col)
-        elif isinstance(col, tuple):
-            col = pivots[pivot] = _materialise(*col)
-        return col
-
-    def batch(win: np.ndarray, count: int):
-        pivot = int(win[0])
-        if mid[pivot // E2] != pivot // E % E:
-            return None
-        top = win // E2
-        t = top[mid[top] == win // E % E][:min(count, rows)]
-        keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
-        return keys[keys < E3]
-
-    initial = initial_columns()
-    for e, pivot, apparent in zip(cols.tolist(), first.tolist(), apparent_first.tolist()):
-        if apparent or pivot in pivots:
-            pivot, col = _reduce_column(next(initial) if apparent else coboundary(e), lookup, batch)
-            if pivot is None:
-                bars.append((1, values[e], INF))
-                continue
-            pivots[pivot] = col
-        else:  # coboundary(e) is reduced as it stands
-            pivots[pivot] = e
-        death = values[pivot // E2]
-        if death > values[e]:
-            bars.append((1, values[e], death))
-    return bars
-
-
-def _coface_keys(ra: np.ndarray, rb: np.ndarray, e, E: int) -> np.ndarray:
-    """Keys of the triangles abk of edge e = ab, unsorted, from the rank rows
-    ra = R[a] and rb = R[b], one per k.  Where abk is not a triangle, its
-    top rank reads E and its key is at least E ** 3, past every triangle's.
-    Stacked rows take a column e of edge ranks."""
-    hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
-    return np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
-
-
-# a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox
-WINDOW = 512
-# a column makes this many single additions before it adds apparent columns in batches
-SINGLE_ADDS = 32
-# keys per block of stacked rows of R: one past the allocator's mmap threshold
-# would be mapped and faulted in anew
-BLOCK_KEYS = 1 << 16
-
-
-def _reduce_column(col: np.ndarray, lookup, batch):
-    """Add the columns that lookup returns to col until its pivot has none.
-
-    Returns (pivot, (window, runs, inbox)), the column still in pieces (see
-    ``_materialise``), or (None, None) when the column vanishes.  Only the
-    keys below a limit, the window, are merged into one sorted array, and
-    the pivot is its first key.  The parts of added columns at or past the
-    limit go unmerged into the inbox.  Once every window key has cancelled,
-    the inbox is sorted into one run, and a run is merged into the run
-    before it once it is at least half as long, so a key is copied O(log)
-    times.  The next window then takes the keys below a new limit, at most
-    WINDOW from each run.  A long column's tail is thus not re-merged at
-    each addition, and a column that no later lookup reads is never merged
-    in full.
-
-    After SINGLE_ADDS single additions, a pivot that is an apparent key
-    (batch returns keys) is added together with the next apparent keys of
-    the window: batch(win, count) gives the unsorted keys of the first
-    count apparent columns, 2, 4, 8, ... at a time, merged in one step.
-    Each of those columns starts at its own key, so the pivot still cancels
-    and the next pivot comes later.
-    """
-    win, runs, inbox, limit = col, [], [], None
-    adds, count = 0, 2
-    while True:
-        if win.size > 2 * WINDOW:
-            inbox.append(win[WINDOW:])
-            limit = int(win[WINDOW])
-            win = win[:WINDOW]
-        elif not win.size:
-            if inbox:
-                runs.append(_odd_keys(inbox))
-                inbox = []
-                while len(runs) > 1 and 2 * runs[-1].size >= runs[-2].size:
-                    last = runs.pop()
-                    runs[-1] = _xor_sorted(runs[-1], last)
-            runs = [r for r in runs if r.size]
-            if not runs:
-                return None, None
-            limit = min((int(r[WINDOW]) for r in runs if r.size > WINDOW), default=None)
-            cuts = [r.size if limit is None else int(r.searchsorted(limit)) for r in runs]
-            win = _odd_keys([r[:c] for r, c in zip(runs, cuts)])
-            runs = [r[c:] for r, c in zip(runs, cuts) if c < r.size]
-            continue
-        keys = batch(win, count) if adds >= SINGLE_ADDS else None
-        if keys is not None:
-            if limit is not None:
-                far = keys >= limit
-                inbox.append(keys[far])
-                keys = keys[~far]
-            win = _odd_keys([win, keys])
-            count *= 2
-            continue
-        pivot = int(win[0])
-        other = lookup(pivot)
-        if other is None:
-            return pivot, (win, runs, inbox)
-        adds += 1
-        if limit is not None:
-            cut = int(other.searchsorted(limit))
-            if cut < other.size:
-                inbox.append(other[cut:])
-                other = other[:cut]
-        win = _xor_sorted(win, other)
-
-
-def _materialise(win: np.ndarray, runs: list, inbox: list) -> np.ndarray:
-    """The sorted column held as a window and the unmerged keys past it."""
-    if not runs and not inbox:
-        return win
-    return np.concatenate((win, _odd_keys(runs + inbox)))
-
-
-def _odd_keys(parts: list) -> np.ndarray:
-    """The keys that occur an odd number of times in all the arrays of parts, sorted."""
-    z = np.sort(np.concatenate(parts))
-    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
-    odd = np.diff(np.append(start, z.size)) % 2 == 1
-    return z[start[odd]]
-
-
-def _xor_sorted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Symmetric difference of two sorted arrays of distinct keys, sorted."""
-    z = np.concatenate((x, y))
-    z.sort(kind="stable")  # a merge of two sorted runs
-    new = np.concatenate(([True], z[1:] != z[:-1], [True]))
-    return z[new[1:] & new[:-1]]
 
 
 def clique_complex(edges: Iterable[tuple], n_vertices: int, max_dim: int) -> SimplicialComplex:

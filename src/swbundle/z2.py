@@ -1,20 +1,21 @@
 """GF(2) linear algebra, persistence barcodes, and cocycle/coboundary tests.
 
-Small matrices are dense uint8 arrays reduced by XOR row operations; the
-barcode reduction uses sparse bitmask columns over stored simplices.  It is
-the general reference: flag-filtration barcodes are computed without stored
-triangles by ``simplicial.rips_barcode``, and the tests compare the two.
+Reference code, off every CLI path.  Small matrices are dense uint8 arrays
+reduced by XOR row operations; the barcode reduction uses sparse bitmask
+columns over stored simplices.  It is the general reference: flag-filtration
+barcodes are computed without stored triangles by ``bundle._flag_barcode``
+(``simplicial.rips_barcode`` from a distance matrix), and the tests compare
+the two.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-INF = float("inf")
+from .bundle import INF, Barcode
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +269,6 @@ def betti_numbers(K, max_dim: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Persistence barcodes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Barcode:
-    """Intervals (dimension, birth, death) with death = inf for open bars."""
-
-    intervals: tuple
-
-    def __post_init__(self) -> None:
-        ivs = tuple((int(d), float(b), float(e)) for (d, b, e) in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        for (d, b, e) in ivs:
-            if d < 0 or b > e:
-                raise ValueError(f"bad interval {(d, b, e)}")
-
-    def in_dim(self, dim: int) -> list[tuple[float, float]]:
-        return sorted((b, e) for (d, b, e) in self.intervals if d == dim)
-
-    def to_json(self) -> str:
-        payload = [
-            {"dim": d, "birth": b, "death": (None if e == INF else e)}
-            for (d, b, e) in sorted(self.intervals)
-        ]
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Barcode":
-        raw = json.loads(text)
-        return cls(
-            tuple((r["dim"], r["birth"], INF if r["death"] is None else r["death"]) for r in raw)
-        )
-
 
 def _check_monotone(F) -> None:
     """ValueError unless each face of a simplex of F enters by its value (up to 1e-12)."""

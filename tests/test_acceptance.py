@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from swbundle.bundle import hausdorff_distance, lifebar, sw_class_at
+from swbundle.bundle import hausdorff_distance, lifebar
 from swbundle.datasets import (
     add_noise,
     circle_normal,
@@ -19,7 +19,7 @@ from swbundle.datasets import (
     torus_normal,
 )
 from swbundle.grassmann import medial_distance, project_grassmannian
-from swbundle.projective import triangulate_rp
+from swbundle.projective import sw_class_at, triangulate_rp
 from swbundle.simplicial import (
     SimplicialComplex,
     is_simplicial_map,

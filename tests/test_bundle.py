@@ -6,19 +6,13 @@ import pytest
 
 from swbundle.bundle import (
     LiftedCloud,
-    SubdivisionLimitError,
     _chord_certified,
     _point_lines,
-    build_bundle_filtration,
     checked_index_bound,
     hausdorff_distance,
     lifebar,
     lift_cloud,
     rips_index_bound,
-    sw_class_at,
-    vertex_face_values,
-    weak_simplicial_approximation,
-    weak_star_check,
 )
 from swbundle.datasets import (
     add_noise,
@@ -28,7 +22,15 @@ from swbundle.datasets import (
     torus_normal,
 )
 from swbundle.grassmann import MedialAxisError, eigh_descending, gamma_dist, line_projectors
-from swbundle.projective import triangulate_rp
+from swbundle.projective import (
+    SubdivisionLimitError,
+    build_bundle_filtration,
+    sw_class_at,
+    triangulate_rp,
+    vertex_face_values,
+    weak_simplicial_approximation,
+    weak_star_check,
+)
 from swbundle.simplicial import (
     SimplicialComplex,
     _flag_edges,
@@ -271,7 +273,7 @@ class TestWeakStar:
             weak_simplicial_approximation(K, T2, subdiv_limit=0)
 
     def test_refusal_at_limit_0_subdivides_nothing(self, T2, monkeypatch):
-        import swbundle.bundle as bundle
+        import swbundle.projective as projective
         from swbundle.grassmann import line_projector
 
         # the graph of test_subdivision_limit
@@ -283,7 +285,7 @@ class TestWeakStar:
             payloads=np.concatenate([np.zeros((2, 2)), mats.reshape(2, -1)], axis=1),
         )
         built = []
-        monkeypatch.setattr(bundle, "barycentric_subdivision",
+        monkeypatch.setattr(projective, "barycentric_subdivision",
                             lambda K: built.append(K) or barycentric_subdivision(K))
         with pytest.raises(SubdivisionLimitError):
             weak_simplicial_approximation(K, T2, subdiv_limit=0)
@@ -291,7 +293,7 @@ class TestWeakStar:
 
     @pytest.mark.parametrize("limit", [1, 2, 3])
     def test_subdivides_only_before_a_check(self, T2, monkeypatch, limit):
-        import swbundle.bundle as bundle
+        import swbundle.projective as projective
         from swbundle.grassmann import line_projector
 
         # one edge between lines 60 degrees apart: two subdivisions are needed
@@ -303,7 +305,7 @@ class TestWeakStar:
             payloads=np.concatenate([np.zeros((2, 1)), mats.reshape(2, -1)], axis=1),
         )
         built = []
-        monkeypatch.setattr(bundle, "barycentric_subdivision",
+        monkeypatch.setattr(projective, "barycentric_subdivision",
                             lambda K: built.append(K) or barycentric_subdivision(K))
         if limit < 2:
             with pytest.raises(SubdivisionLimitError):
@@ -683,7 +685,8 @@ class TestStabilityAndScaling:
             c = circle_tautological(40, 1.0)
             r = sw_class_at(c, t, T2)
             # recompute the host complex to re-verify the stored cochain
-            from swbundle.bundle import _complex_at_scale, SQRT2 as S2
+            from swbundle.bundle import SQRT2 as S2
+            from swbundle.projective import _complex_at_scale
 
             K = _complex_at_scale(c, S2 * t)
             from swbundle.simplicial import barycentric_subdivision

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,26 @@ class TestGenerate:
                    "--output", str(tmp_path / "x.json")) == 2
         assert run("generate", "--dataset", "mobius", "--count", "10", "--count-v", "5",
                    "--output", str(tmp_path / "x.json")) == 2
+
+    @pytest.mark.parametrize("counts", [
+        ("--dataset", "mobius", "--count", str(2 ** 20 + 1)),
+        ("--dataset", "klein", "--count", "17", "--count-v", "61681"),
+        ("--dataset", "torus", "--count", "1025"),
+        ("--dataset", "klein", "--count", "100000", "--count-v", "100000"),
+    ], ids=["mobius-cap+1", "klein-cap+1", "torus-square", "klein-10^10"])
+    def test_point_cap_exits_2_before_allocating(self, tmp_path, capsys, counts):
+        # 2**20 + 1 = 17 * 61681; a torus or Klein grid without --count-v is square
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code = run("generate", *counts, "--output", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
+        assert "more than the cap of 1048576 (2**20)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1", "1e308"])
     def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
@@ -253,6 +274,7 @@ class TestLifebarCommand:
     def test_answers_without_the_paper_pipeline(self, tmp_path, monkeypatch):
         import swbundle.bundle as bundle
         import swbundle.cli as cli
+        import swbundle.projective as projective
         import swbundle.simplicial as simplicial
         import swbundle.z2 as z2
 
@@ -269,9 +291,9 @@ class TestLifebarCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("lifebar and barcode must not call the reference pipeline")
 
-        for module, name in ((bundle, "weak_simplicial_approximation"),
-                             (bundle, "barycentric_subdivision"),
-                             (bundle, "is_coboundary"), (cli, "triangulate_rp"),
+        for module, name in ((projective, "weak_simplicial_approximation"),
+                             (projective, "barycentric_subdivision"),
+                             (projective, "is_coboundary"), (cli, "triangulate_rp"),
                              (simplicial, "_flag_fill"), (simplicial, "rips_filtration"),
                              (cli, "rips_filtration"), (z2, "barcode"), (cli, "barcode"),
                              (bundle.LiftedCloud, "distance_matrix"),
@@ -468,6 +490,25 @@ def test_m1_cloud_barcode_with_max_edge(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("lifebar", "lifebar"), ("barcode", "_cloud_barcode")])
+@pytest.mark.parametrize("detail", ["Unable to allocate 3.2 GiB", ""])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, target, detail):
+    import swbundle.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(detail)
+
+    cloud, out = tmp_path / "c.json", tmp_path / "out.json"
+    assert run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud)) == 0
+    monkeypatch.setattr(cli, target, exhausted)
+    capsys.readouterr()
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    suffix = f": {detail}" if detail else ""
+    assert capsys.readouterr().err == f"error: {command} ran out of memory{suffix}\n"
+    assert not out.exists()
 
 
 class TestRenderers:

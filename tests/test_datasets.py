@@ -60,6 +60,18 @@ class TestCircleGenerators:
             with pytest.raises(ValueError, match=f"{kind} takes one count"):
                 GeneratorSpec(kind, 10, count2=5)
 
+    @pytest.mark.parametrize("kind, at_cap, past_cap", [
+        ("circle_normal", (2 ** 20, None), (2 ** 20 + 1, None)),
+        ("circle_tautological", (2 ** 20, None), (2 ** 20 + 1, None)),
+        ("torus_normal", (2 ** 10, None), (2 ** 10 + 1, None)),
+        ("klein_normal", (16, 2 ** 16), (16, 2 ** 16 + 1)),
+    ])
+    def test_point_cap(self, kind, at_cap, past_cap):
+        # constructed only, never generated: a grid without count2 is square
+        GeneratorSpec(kind, at_cap[0], count2=at_cap[1])
+        with pytest.raises(ValueError, match=r"more than the cap of 1048576 \(2\*\*20\)"):
+            GeneratorSpec(kind, past_cap[0], count2=past_cap[1])
+
 
 class TestSurfaceGenerators:
     def test_torus_point_and_normal(self):

@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from swbundle.simplicial import _odd_cycle_sweep
+from swbundle.bundle import _odd_cycle_sweep
 
 
 def two_colourable(n, edges, flips):

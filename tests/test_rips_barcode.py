@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swbundle import cli, simplicial
+from swbundle import bundle, cli
 from swbundle.datasets import add_noise, circle_normal, circle_tautological, klein_normal
 from swbundle.simplicial import rips_barcode, rips_filtration
 from swbundle.z2 import INF, Barcode, barcode
@@ -99,7 +99,7 @@ def test_enclosing_radius_of_an_asymmetric_matrix():
 @pytest.mark.parametrize("window", [1, 2, 8])
 def test_small_windows(rng, monkeypatch, window):
     # a narrow window sends short columns through the runs and the inbox
-    monkeypatch.setattr(simplicial, "WINDOW", window)
+    monkeypatch.setattr(bundle, "WINDOW", window)
     for kind in ("plain", "rounded", "duplicates"):
         for _ in range(10):
             D = distances(random_cloud(rng, kind))
@@ -110,13 +110,13 @@ def test_long_column_read_by_an_earlier_one(monkeypatch):
     # noisy Klein 8x8 with all edges: a column outgrows its window, and an
     # earlier edge's column later reaches its pivot and reads it in full
     tails = []
-    materialise = simplicial._materialise
+    materialise = bundle._materialise
 
     def counted(win, runs, inbox):
         tails.append(bool(runs or inbox))
         return materialise(win, runs, inbox)
 
-    monkeypatch.setattr(simplicial, "_materialise", counted)
+    monkeypatch.setattr(bundle, "_materialise", counted)
     assert_matches_reference(*klein_8x8())
     assert any(tails)
 
@@ -149,7 +149,7 @@ def fixed_cases():
 def count_batches(monkeypatch) -> list:
     """Patch _reduce_column to count the batches of apparent columns it adds."""
     batches = []
-    reduce_column = simplicial._reduce_column
+    reduce_column = bundle._reduce_column
 
     def counted(col, lookup, batch):
         def counted_batch(win, count):
@@ -159,7 +159,7 @@ def count_batches(monkeypatch) -> list:
 
         return reduce_column(col, lookup, counted_batch)
 
-    monkeypatch.setattr(simplicial, "_reduce_column", counted)
+    monkeypatch.setattr(bundle, "_reduce_column", counted)
     return batches
 
 
@@ -168,8 +168,8 @@ def count_batches(monkeypatch) -> list:
 def test_batch_mode(rng, monkeypatch, fixed_cases, single_adds, window):
     # clouds this small never reach SINGLE_ADDS single additions; with it at
     # 0 or 1 every apparent pivot starts or soon joins a batch
-    monkeypatch.setattr(simplicial, "SINGLE_ADDS", single_adds)
-    monkeypatch.setattr(simplicial, "WINDOW", window)
+    monkeypatch.setattr(bundle, "SINGLE_ADDS", single_adds)
+    monkeypatch.setattr(bundle, "WINDOW", window)
     batches = count_batches(monkeypatch)
     for kind in ("plain", "rounded", "duplicates"):
         for _ in range(10):
@@ -191,7 +191,7 @@ def test_no_stored_pivot_is_apparent(monkeypatch, cloud):
     else:
         D, max_value = circle_tautological(40).distance_matrix(), 1.3
     edges, pivots = [], []
-    h1_bars, reduce_column = simplicial._h1_bars, simplicial._reduce_column
+    h1_bars, reduce_column = bundle._h1_bars, bundle._reduce_column
 
     def recorded_h1_bars(n, iu, ju, values, tree):
         edges.append((n, iu, ju, len(values)))
@@ -203,8 +203,8 @@ def test_no_stored_pivot_is_apparent(monkeypatch, cloud):
             pivots.append(pivot)
         return pivot, held
 
-    monkeypatch.setattr(simplicial, "_h1_bars", recorded_h1_bars)
-    monkeypatch.setattr(simplicial, "_reduce_column", recorded_reduce_column)
+    monkeypatch.setattr(bundle, "_h1_bars", recorded_h1_bars)
+    monkeypatch.setattr(bundle, "_reduce_column", recorded_reduce_column)
     rips_barcode(D, max_value, 1)
     (n, iu, ju, E), = edges
     R = np.full((n, n), E)
@@ -227,8 +227,8 @@ def trace_h1(monkeypatch, D, max_value):
     """
     graphs, ends, read = [], [], set()
     single, stacked = Counter(), Counter()
-    h1_bars, reduce_column = simplicial._h1_bars, simplicial._reduce_column
-    coface_keys = simplicial._coface_keys
+    h1_bars, reduce_column = bundle._h1_bars, bundle._reduce_column
+    coface_keys = bundle._coface_keys
 
     def recorded_h1_bars(n, iu, ju, values, tree):
         graphs.append((n, iu, ju, len(values), tree))
@@ -247,9 +247,9 @@ def trace_h1(monkeypatch, D, max_value):
         ends.append(pivot)
         return pivot, held
 
-    monkeypatch.setattr(simplicial, "_h1_bars", recorded_h1_bars)
-    monkeypatch.setattr(simplicial, "_coface_keys", recorded_coface_keys)
-    monkeypatch.setattr(simplicial, "_reduce_column", recorded_reduce_column)
+    monkeypatch.setattr(bundle, "_h1_bars", recorded_h1_bars)
+    monkeypatch.setattr(bundle, "_coface_keys", recorded_coface_keys)
+    monkeypatch.setattr(bundle, "_reduce_column", recorded_reduce_column)
     bc = rips_barcode(D, max_value, 1)
     if not graphs:
         return bc, [], {}, single, stacked, read
@@ -294,7 +294,7 @@ def test_scan_pairs_build_only_what_a_lookup_reads(monkeypatch):
 
 @pytest.mark.parametrize("window", [1, 8, 512])
 def test_scan_pairs_read_later_are_built(rng, monkeypatch, fixed_cases, window):
-    monkeypatch.setattr(simplicial, "WINDOW", window)
+    monkeypatch.setattr(bundle, "WINDOW", window)
     cases = list(fixed_cases)
     for kind in ("plain", "rounded", "duplicates"):
         for _ in range(10):
