@@ -9,22 +9,26 @@ persistent class.  The lifebar records where it is nonzero.
 The production modules are cli, datasets, render, bundle and grassmann; the
 reference modules simplicial, z2 and projective hold the paper's decider and
 the test oracles.  Every name below loads its module on first use, so
-``from swbundle import cli`` loads no reference module.
+``from swbundle import cli`` loads no reference module.  _EXPORTS is the one
+record of where each name lives: cli, bundle and grassmann resolve the names
+they do not define through it too, so the old import paths of the helpers
+moved to projective, and the names the benchmark tracer patches, still work.
 """
 
 import importlib
 
 _EXPORTS = {
-    "bundle": ("Barcode", "Lifebar", "LiftedCloud", "hausdorff_distance", "lifebar",
-               "lift_cloud", "rips_index_bound"),
+    "bundle": ("Barcode", "Lifebar", "LiftedCloud", "lifebar", "lift_cloud"),
     "datasets": ("GeneratorSpec", "add_noise", "circle_normal", "circle_tautological",
                  "generate", "klein_normal", "load_cloud", "save_cloud", "tangent_lift",
                  "torus_normal"),
-    "grassmann": ("GrassmannPoint", "MatrixPoint", "MedialAxisError", "gamma_dist",
-                  "line_projector", "medial_distance", "project_grassmannian", "tmax"),
-    "projective": ("ProjectiveTriangulation", "SubdivisionLimitError", "SWResult",
-                   "build_bundle_filtration", "sw_class_at", "triangulate_rp",
-                   "vertex_face_values", "weak_simplicial_approximation", "weak_star_check"),
+    "grassmann": ("MedialAxisError", "jacobi_eigh_batch"),
+    "projective": ("GrassmannPoint", "MatrixPoint", "ProjectiveTriangulation",
+                   "SubdivisionLimitError", "SWResult", "build_bundle_filtration", "gamma_dist",
+                   "hausdorff_distance", "line_projector", "medial_distance",
+                   "project_grassmannian", "rips_index_bound", "sw_class_at", "tmax",
+                   "triangulate_rp", "vertex_face_values", "weak_simplicial_approximation",
+                   "weak_star_check"),
     "simplicial": ("FilteredComplex", "SimplicialComplex", "barycentric_subdivision",
                    "clique_complex", "is_simplicial_map", "pullback_cochain", "rips_barcode",
                    "rips_filtration"),
@@ -37,9 +41,16 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
+def lazy_names(module: str):
+    """A PEP 562 module __getattr__ for module: each name of _EXPORTS resolves,
+    on use, in the module that defines it."""
+
+    def __getattr__(name: str):
+        if name not in _HOME:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+    return __getattr__
+
+
+__getattr__ = lazy_names(__name__)

@@ -23,22 +23,21 @@ filtration's thresholds.
 from __future__ import annotations
 
 import bisect
-import importlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
+from . import lazy_names
 from .grassmann import (
-    MatrixPoint,
     MedialAxisError,
     eigen_gaps,
     eigh_descending,
     line_projectors,
     GAP_TOLERANCE,
-    tmax,
     tmax_from_gaps,
 )
 
@@ -69,10 +68,10 @@ class LiftedCloud:
             raise ValueError("expected xs of shape (N, n) and mats of shape (N, m, m)")
         if xs.shape[0] != mats.shape[0]:
             raise ValueError("xs and mats must have the same number of points")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("non-finite base coordinate x in the cloud")
-        if not np.all(np.isfinite(mats)):
-            raise ValueError("non-finite matrix entry A in the cloud")
+        for arr, what in ((xs, "base coordinate x"), (mats, "matrix entry A")):
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
+            if bad.size:
+                raise ValueError(f"non-finite {what} at point {bad[0]}")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "xs", xs)
@@ -94,10 +93,6 @@ class LiftedCloud:
     @property
     def m(self) -> int:
         return self.mats.shape[1]
-
-    @property
-    def points(self) -> list:
-        return [MatrixPoint(self.xs[i], self.mats[i]) for i in range(len(self))]
 
     def embedding(self) -> np.ndarray:
         """Isometric embedding into R^{n+m^2}: (x, gamma * vec(A))."""
@@ -171,31 +166,49 @@ class LiftedCloud:
                 if "A" in p:
                     _point_field(p, k, "A", (m, m))
                 elif "v" in p:
-                    line_projectors(_point_field(p, k, "v", (m,))[None])
+                    try:
+                        line_projectors(_point_field(p, k, "v", (m,))[None])
+                    except ValueError as err:
+                        raise ValueError(f"point {k} has a bad 'v': {err}") from None
                 else:
-                    raise ValueError("point needs a matrix 'A' or a line direction 'v'")
+                    raise ValueError(f"point {k} needs a matrix 'A' or a line direction 'v'")
             raise
         return cls(xs, mats, gamma)
 
 
 def _stacked(points: list, key: str, shape: tuple) -> np.ndarray:
-    """The points' `key` fields as one float array of shape (len(points),) + shape."""
-    rows = np.array([p[key] for p in points] or np.empty((0,) + shape), dtype=float)
-    if rows.shape[1:] != shape:
-        raise ValueError(f"'{key}' rows of shape {rows.shape[1:]}, expected {shape}")
-    return rows
+    """The points' `key` fields as one float array of shape (len(points),) + shape;
+    TypeError, ValueError or OverflowError unless each is nested lists of that
+    shape holding JSON numbers (int or float: no string, no boolean)."""
+    flat = [p[key] for p in points]
+    for size in shape:  # dicts and strings reach the type check as keys and characters
+        if set(map(len, flat)) - {size}:
+            raise ValueError(f"'{key}' rows not of shape {shape}")
+        flat = list(chain.from_iterable(flat))
+    if set(map(type, flat)) - {int, float}:
+        raise TypeError(f"'{key}' holds a value that is not a number")
+    return np.array(flat, dtype=float).reshape((len(points),) + shape)
 
 
 def _point_field(point: dict, k: int, key: str, shape: tuple) -> np.ndarray:
-    """point[key] as a float array of the shape, or ValueError naming point k or the shape."""
+    """point[key] as a float array of the shape, or ValueError naming point k."""
     if key not in point:
         raise ValueError(f"point {k} is missing '{key}'")
+    leaves, stack = [], [point[key]]
+    while stack:  # the non-list values at any depth
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        else:
+            leaves.append(item)
+    if set(map(type, leaves)) - {int, float}:
+        raise ValueError(f"point {k} has a non-numeric '{key}'")
     try:
-        field = np.asarray(point[key], dtype=float)
-    except TypeError as err:
-        raise ValueError(f"point {k} has a non-numeric '{key}': {err}") from None
+        field = np.array(point[key], dtype=float)
     except OverflowError:
         raise ValueError(f"point {k} has a number too large for a float in '{key}'") from None
+    except ValueError:  # lists of unequal lengths
+        raise ValueError(f"point {k} has a ragged '{key}', expected shape {shape}") from None
     if field.shape != shape:
         raise ValueError(f"point {k} has '{key}' of shape {field.shape}, expected {shape}")
     return field
@@ -214,13 +227,8 @@ def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud
     return LiftedCloud(base, line_projectors(lines) if lines.ndim == 2 else lines, gamma)
 
 
-def rips_index_bound(cloud: LiftedCloud) -> float:
-    """Right end of the index interval: tmax_gamma / sqrt(2)."""
-    return tmax(cloud.points, 1, cloud.gamma) / SQRT2
-
-
 def checked_index_bound(cloud: LiftedCloud) -> float:
-    """rips_index_bound, or MedialAxisError naming the first point whose
+    """projective.rips_index_bound, or MedialAxisError naming the first point whose
     eigen-gap is at most GAP_TOLERANCE (it has no line; the index set is empty)."""
     return _point_lines(cloud)[2]
 
@@ -247,24 +255,6 @@ def _top_eigenvectors(
             f"{noun} {k} has eigen-gap {gaps[bad[0]]:.3e}: matrix part on the medial axis"
         )
     return vecs[:, :, 0], gaps
-
-
-
-def hausdorff_distance(A: LiftedCloud, B: LiftedCloud) -> float:
-    """Hausdorff distance between two clouds in the same ambient product space."""
-    if A.n != B.n or A.m != B.m or A.gamma != B.gamma:
-        raise ValueError("clouds live in different spaces (n, m, gamma must agree)")
-    ea, eb = A.embedding(), B.embedding()
-    # direct differences, chunked: exact for coincident points
-    mins_a = np.empty(len(A))
-    mins_b = np.full(len(B), np.inf)
-    chunk = max(1, int(4_000_000 / max(eb.size, 1)))
-    for lo in range(0, len(A), chunk):
-        diff = ea[lo: lo + chunk, None, :] - eb[None, :, :]
-        D = np.sqrt(np.sum(diff * diff, axis=2))
-        mins_a[lo: lo + chunk] = D.min(axis=1)
-        np.minimum(mins_b, D.min(axis=0), out=mins_b)
-    return float(max(mins_a.max(), mins_b.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +343,10 @@ def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
 # relative margin of the chord certificate against the rounding of the
 # eigen-gaps and of |A_i - A_j|_F; it keeps |u_i . u_j| above 7e-4
 CHORD_MARGIN = 1e-6
+# fewest edges lifebar signs in one chunk: a chunk's fixed cost (one eigensolve
+# and about a dozen numpy calls, some 60 us on a 2-vCPU VM) outweighs what a
+# smaller chunk can skip
+MIN_SIGN_CHUNK = 256
 
 
 def _chord_certified(mats: np.ndarray, gaps: np.ndarray, i: np.ndarray, j: np.ndarray):
@@ -409,21 +403,26 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     block in filtration order, only as far as the sweep reads: the first
     block has max(n, 64) edges and each later one twice as many, plus ties,
     so at most about twice the edges up to the closing one plus one block
-    are ordered and signed.  An empty lifebar solves every long edge below
-    the bound.
+    are ordered.  Each block is signed in chunks of max(n, MIN_SIGN_CHUNK)
+    edges, a chunk only when the sweep reads it, so fewer than that many
+    edges past the closing one are signed.  An empty lifebar solves every
+    long edge below the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, gaps, bound = _point_lines(cloud)
-    n, read = len(cloud), []  # the values of the blocks the sweep reads
+    n, chunk = len(cloud), max(len(cloud), MIN_SIGN_CHUNK)
+    read = []  # the values of the blocks the sweep reads
 
-    def blocks():
+    def chunks():
         for i, j, values in _edge_blocks(cloud, math.nextafter(SQRT2 * bound, 0.0), max(n, 64)):
-            first = sum(map(len, read))  # the filtration position of its first edge
+            first = sum(map(len, read))  # the filtration position of the block's first edge
             read.append(values)
-            yield i, j, _edge_flips(cloud.mats, u, gaps, i, j, first)
+            for lo in range(0, len(values), chunk):
+                ci, cj = i[lo: lo + chunk], j[lo: lo + chunk]
+                yield ci, cj, _edge_flips(cloud.mats, u, gaps, ci, cj, first + lo)
 
-    closing = _odd_cycle_sweep(n, blocks())[0]
+    closing = _odd_cycle_sweep(n, chunks())[0]
     if closing is None:
         return Lifebar(bound, None, resolution)
     value = float(np.concatenate(read)[closing])
@@ -781,18 +780,6 @@ def _xor_sorted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z[new[1:] & new[:-1]]
 
 
-# bench/spans.py times these names in this module, which calls none of them:
-# each resolves, on first use, in the module that defines it
-_TRACED = {
-    "jacobi_eigh_batch": "grassmann", "line_projector": "grassmann",
-    "barycentric_subdivision": "simplicial", "is_simplicial_map": "simplicial",
-    "pullback_cochain": "simplicial", "rips_filtration": "simplicial",
-    "is_cocycle": "z2", "is_coboundary": "z2",
-    "sw_class_at": "projective", "weak_star_check": "projective",
-}
-
-
-def __getattr__(name: str):
-    if name not in _TRACED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+# the names this module does not define, such as the oracle helpers that moved to
+# projective and those bench/spans.py patches here, resolve through the package's table
+__getattr__ = lazy_names(__name__)

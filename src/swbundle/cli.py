@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import logging
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-from . import datasets
+from . import datasets, lazy_names
 from .bundle import _check_max_value, _edge_blocks, _flag_barcode, checked_index_bound, lifebar
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 
@@ -33,6 +33,7 @@ _DATASET_ALIASES = {
     "torus": "torus_normal",
     "klein": "klein_normal",
 }
+_SUFFIXES = {"svg": ".svg", "text": ".txt"}
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -77,13 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_rendering(args, svg, text, *data) -> None:
-    """Write svg(*data) or text(*data) as --render asks (json: nothing)."""
+def _rendering_path(args) -> Optional[Path]:
+    """The file --render writes (None for json), refused when it is --output's own."""
     if args.render == "json":
-        return
-    render, suffix = (svg, ".svg") if args.render == "svg" else (text, ".txt")
-    path = Path(args.render_output or Path(args.output).with_suffix(suffix))
-    path.write_text(render(*data))
+        return None
+    path = Path(args.render_output or Path(args.output).with_suffix(_SUFFIXES[args.render]))
+    if os.path.abspath(path) == os.path.abspath(args.output):  # abspath also folds ".."
+        raise ValueError(f"the {args.render} rendering {str(path)!r} would overwrite "
+                         f"--output {args.output!r}: give another --output or --render-output")
+    return path
+
+
+def _write_rendering(args, path: Optional[Path], svg, text, *data) -> None:
+    """Write svg(*data) or text(*data) to path, as --render asks (json: no path)."""
+    if path is not None:
+        path.write_text((svg if args.render == "svg" else text)(*data))
 
 
 def _cmd_generate(args) -> int:
@@ -104,11 +113,12 @@ def _cmd_generate(args) -> int:
 def _cmd_barcode(args) -> int:
     if args.max_edge is not None and not math.isfinite(args.max_edge):
         raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
+    rendering = _rendering_path(args)
     cloud = datasets.load_cloud(args.input)
     max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)
     bc = _cloud_barcode(cloud, max_edge, args.max_dim)
     Path(args.output).write_text(bc.to_json() + "\n")
-    _write_rendering(args, barcode_svg, barcode_text, bc, max_edge)
+    _write_rendering(args, rendering, barcode_svg, barcode_text, bc, max_edge)
     log.info("wrote %d bars to %s", len(bc.intervals), args.output)
     return 0
 
@@ -129,10 +139,11 @@ def _cloud_barcode(cloud, max_value: float, max_dim: int):
 def _cmd_lifebar(args) -> int:
     if args.subdiv_limit < 0:  # kept in the interface; the sweep needs no subdivision
         raise ValueError(f"subdivision limit must be non-negative, got {args.subdiv_limit}")
+    rendering = _rendering_path(args)
     cloud = datasets.load_cloud(args.input)
     lb = lifebar(cloud, resolution=args.resolution)
     Path(args.output).write_text(lb.to_json() + "\n")
-    _write_rendering(args, lifebar_svg, lifebar_text, lb)
+    _write_rendering(args, rendering, lifebar_svg, lifebar_text, lb)
     state = "empty" if lb.empty else f"nonzero after {lb.t_dagger!r}"
     log.info("lifebar %s on [0, %g)", state, lb.t_max)
     return 0
@@ -157,18 +168,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
-# bench/spans.py times these names in this module, which calls none of them:
-# each resolves, on first use, in the module that defines it
-_TRACED = {
-    "build_bundle_filtration": "projective", "triangulate_rp": "projective",
-    "rips_index_bound": "bundle", "rips_filtration": "simplicial", "barcode": "z2",
-}
-
-
-def __getattr__(name: str):
-    if name not in _TRACED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+# bench/spans.py patches names here that this module never calls: each resolves
+# through the package's table
+__getattr__ = lazy_names(__name__)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
-"""Product-space metric, symmetric eigensolvers, and projection onto G_d(R^m).
+"""Symmetric eigensolvers, eigen-gaps and line projectors.
 
 The Grassmannian of d-planes is embedded in matrix space as orthogonal
 projection matrices.  Projecting a matrix onto it reduces to symmetrizing,
 eigendecomposing, and keeping the top-d eigenspaces; that projection is
 undefined on the medial axis, reached exactly when the d-th eigen-gap
-closes.
+closes.  The point types, the product metric and the projection itself are
+reference code in projective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from . import lazy_names
 
 GAP_TOLERANCE = 1e-9        # eigen-gap below which the projection is refused
 _SYM_TOLERANCE = 1e-8
@@ -21,51 +22,6 @@ _JACOBI_MAX_SWEEPS = 100
 
 class MedialAxisError(ValueError):
     """Raised when a matrix is numerically on the medial axis of G_d(R^m)."""
-
-
-@dataclass(frozen=True)
-class MatrixPoint:
-    """A point of R^n x M(R^m): a base coordinate and a square matrix."""
-
-    x: np.ndarray
-    A: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("matrix part must be square")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "A", A)
-
-
-@dataclass(frozen=True)
-class GrassmannPoint:
-    """A rank-d orthogonal projection matrix, the embedding of a d-plane."""
-
-    P: np.ndarray
-    d: int
-
-    def __post_init__(self) -> None:
-        P = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "P", P)
-        if not np.allclose(P, P.T, atol=1e-8):
-            raise ValueError("projector must be symmetric")
-        if not np.allclose(P @ P, P, atol=1e-7):
-            raise ValueError("projector must be idempotent")
-        if abs(np.trace(P) - self.d) > 1e-7:
-            raise ValueError(f"projector trace {np.trace(P)} != d = {self.d}")
-
-
-def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
-    """Distance in the product norm: sqrt(|x_a - x_b|^2 + gamma^2 |A_a - A_b|_F^2)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if a.x.shape != b.x.shape or a.A.shape != b.A.shape:
-        raise ValueError("dimension mismatch between points")
-    dx = a.x - b.x
-    dA = a.A - b.A
-    return float(np.sqrt(dx @ dx + gamma * gamma * np.sum(dA * dA)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +103,7 @@ def jacobi_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Projection onto the Grassmannian
+# Eigen-gaps and line projectors
 # ---------------------------------------------------------------------------
 
 def eigen_gaps(S: np.ndarray, d: int, solve=eigh_descending) -> tuple[np.ndarray, np.ndarray]:
@@ -161,29 +117,6 @@ def eigen_gaps(S: np.ndarray, d: int, solve=eigh_descending) -> tuple[np.ndarray
         raise ValueError(f"d = {d} out of range for m = {m}{why}")
     vals, vecs = solve((S + np.swapaxes(S, -1, -2)) / 2.0)
     return vals[..., d - 1] - vals[..., d], vecs
-
-
-def medial_distance(A: np.ndarray, d: int) -> float:
-    """Frobenius distance from A to the medial axis of G_d(R^m).
-
-    Equals sqrt(2)/2 times the gap between the d-th and (d+1)-th eigenvalues
-    of the symmetric part of A.
-    """
-    return tmax_from_gaps(eigen_gaps(A, d)[0], 1.0)
-
-
-def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
-    """Nearest rank-d projector to A in Frobenius norm.
-
-    Symmetrize, eigendecompose, and keep the top-d eigenvector frame.
-    Raises MedialAxisError when the eigen-gap at position d is below
-    tolerance, i.e. the projection is not unique.
-    """
-    gap, O = eigen_gaps(A, d)
-    if gap <= GAP_TOLERANCE:
-        raise MedialAxisError(f"eigen-gap {gap:.3e} at position {d}: matrix on the medial axis")
-    top = O[:, :d]
-    return GrassmannPoint(top @ top.T, d)
 
 
 def line_projectors(V: np.ndarray) -> np.ndarray:
@@ -204,21 +137,10 @@ def line_projectors(V: np.ndarray) -> np.ndarray:
     return U[:, :, None] * U[:, None, :]
 
 
-def line_projector(v: np.ndarray) -> GrassmannPoint:
-    """Rank-1 projector onto the line spanned by v."""
-    return GrassmannPoint(line_projectors([v])[0], 1)
-
-
 def tmax_from_gaps(gaps: np.ndarray, gamma: float) -> float:
     """gamma times the smallest medial-axis distance: sqrt(2)/2 times an eigen-gap."""
     return gamma * float(np.min(np.sqrt(2.0) / 2.0 * np.abs(gaps)))
 
 
-def tmax(points, d: int, gamma: float) -> float:
-    """gamma times the smallest medial-axis distance over the cloud's matrices."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    mats = [p.A for p in points]
-    if not mats:
-        raise ValueError("empty cloud")
-    return tmax_from_gaps(eigen_gaps(mats, d)[0], gamma)
+# the point types and helpers that moved to projective resolve through the package's table
+__getattr__ = lazy_names(__name__)

@@ -14,6 +14,9 @@ Also here, as reference code off every CLI path: the paper's decider.
 sw_class_at approximates a cloud's Grassmannian projection by a weak
 simplicial approximation into L, pulls w1 back and tests it for being a
 coboundary; the tests cross-check bundle.lifebar's parity sweep against it.
+The paper's point types, its product metric gamma_dist, the projection onto
+G_d(R^m), tmax, rips_index_bound and hausdorff_distance are here as well:
+the oracles of grassmann's eigen-gaps and bundle's index bound.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .bundle import SQRT2, LiftedCloud, _top_eigenvectors, checked_index_bound, rips_index_bound
+from .bundle import SQRT2, LiftedCloud, _top_eigenvectors, checked_index_bound
+from .grassmann import (
+    GAP_TOLERANCE,
+    MedialAxisError,
+    eigen_gaps,
+    line_projectors,
+    tmax_from_gaps,
+)
 from .simplicial import (
     SimplicialComplex,
     FilteredComplex,
@@ -159,6 +169,115 @@ def triangulate_rp(m: int) -> ProjectiveTriangulation:
         _basis=_hyperplane_basis(m),
         _mask_to_l=mask_to_l,
     )
+
+
+# ---------------------------------------------------------------------------
+# Grassmannian points, the product metric and the index bound
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MatrixPoint:
+    """A point of R^n x M(R^m): a base coordinate and a square matrix."""
+
+    x: np.ndarray
+    A: np.ndarray
+
+    def __post_init__(self) -> None:
+        x = np.asarray(self.x, dtype=float)
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("matrix part must be square")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "A", A)
+
+
+@dataclass(frozen=True)
+class GrassmannPoint:
+    """A rank-d orthogonal projection matrix, the embedding of a d-plane."""
+
+    P: np.ndarray
+    d: int
+
+    def __post_init__(self) -> None:
+        P = np.asarray(self.P, dtype=float)
+        object.__setattr__(self, "P", P)
+        if not np.allclose(P, P.T, atol=1e-8):
+            raise ValueError("projector must be symmetric")
+        if not np.allclose(P @ P, P, atol=1e-7):
+            raise ValueError("projector must be idempotent")
+        if abs(np.trace(P) - self.d) > 1e-7:
+            raise ValueError(f"projector trace {np.trace(P)} != d = {self.d}")
+
+
+def gamma_dist(a: MatrixPoint, b: MatrixPoint, gamma: float) -> float:
+    """Distance in the product norm: sqrt(|x_a - x_b|^2 + gamma^2 |A_a - A_b|_F^2)."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if a.x.shape != b.x.shape or a.A.shape != b.A.shape:
+        raise ValueError("dimension mismatch between points")
+    dx = a.x - b.x
+    dA = a.A - b.A
+    return float(np.sqrt(dx @ dx + gamma * gamma * np.sum(dA * dA)))
+
+
+def medial_distance(A: np.ndarray, d: int) -> float:
+    """Frobenius distance from A to the medial axis of G_d(R^m).
+
+    Equals sqrt(2)/2 times the gap between the d-th and (d+1)-th eigenvalues
+    of the symmetric part of A.
+    """
+    return tmax_from_gaps(eigen_gaps(A, d)[0], 1.0)
+
+
+def project_grassmannian(A: np.ndarray, d: int) -> GrassmannPoint:
+    """Nearest rank-d projector to A in Frobenius norm.
+
+    Symmetrize, eigendecompose, and keep the top-d eigenvector frame.
+    Raises MedialAxisError when the eigen-gap at position d is below
+    tolerance, i.e. the projection is not unique.
+    """
+    gap, O = eigen_gaps(A, d)
+    if gap <= GAP_TOLERANCE:
+        raise MedialAxisError(f"eigen-gap {gap:.3e} at position {d}: matrix on the medial axis")
+    top = O[:, :d]
+    return GrassmannPoint(top @ top.T, d)
+
+
+def line_projector(v: np.ndarray) -> GrassmannPoint:
+    """Rank-1 projector onto the line spanned by v."""
+    return GrassmannPoint(line_projectors([v])[0], 1)
+
+
+def tmax(points, d: int, gamma: float) -> float:
+    """gamma times the smallest medial-axis distance over the cloud's matrices."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    mats = [p.A for p in points]
+    if not mats:
+        raise ValueError("empty cloud")
+    return tmax_from_gaps(eigen_gaps(mats, d)[0], gamma)
+
+
+def rips_index_bound(cloud: LiftedCloud) -> float:
+    """Right end of the index interval: tmax_gamma / sqrt(2)."""
+    return tmax([MatrixPoint(x, A) for x, A in zip(cloud.xs, cloud.mats)], 1, cloud.gamma) / SQRT2
+
+
+def hausdorff_distance(A: LiftedCloud, B: LiftedCloud) -> float:
+    """Hausdorff distance between two clouds in the same ambient product space."""
+    if A.n != B.n or A.m != B.m or A.gamma != B.gamma:
+        raise ValueError("clouds live in different spaces (n, m, gamma must agree)")
+    ea, eb = A.embedding(), B.embedding()
+    # direct differences, chunked: exact for coincident points
+    mins_a = np.empty(len(A))
+    mins_b = np.full(len(B), np.inf)
+    chunk = max(1, int(4_000_000 / max(eb.size, 1)))
+    for lo in range(0, len(A), chunk):
+        diff = ea[lo: lo + chunk, None, :] - eb[None, :, :]
+        D = np.sqrt(np.sum(diff * diff, axis=2))
+        mins_a[lo: lo + chunk] = D.min(axis=1)
+        np.minimum(mins_b, D.min(axis=0), out=mins_b)
+    return float(max(mins_a.max(), mins_b.max()))
 
 
 # ---------------------------------------------------------------------------

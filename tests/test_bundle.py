@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swbundle.bundle import (
+    MIN_SIGN_CHUNK,
     LiftedCloud,
     _chord_certified,
     _point_lines,
@@ -21,7 +22,13 @@ from swbundle.datasets import (
     klein_normal,
     torus_normal,
 )
-from swbundle.grassmann import MedialAxisError, eigh_descending, gamma_dist, line_projectors
+from swbundle.grassmann import (
+    MatrixPoint,
+    MedialAxisError,
+    eigh_descending,
+    gamma_dist,
+    line_projectors,
+)
 from swbundle.projective import (
     SubdivisionLimitError,
     build_bundle_filtration,
@@ -79,7 +86,7 @@ class TestLiftedCloud:
     def test_distance_matrix_matches_gamma_dist(self, rng):
         c = circle_tautological(10, 1.5)
         D = c.distance_matrix()
-        pts = c.points
+        pts = [MatrixPoint(x, A) for x, A in zip(c.xs, c.mats)]
         for i, j in [(0, 3), (2, 7), (4, 5)]:
             assert D[i, j] == pytest.approx(gamma_dist(pts[i], pts[j], 1.5))
 
@@ -438,28 +445,33 @@ class TestLifebar:
         return rows
 
     @staticmethod
-    def _long_edges_per_block(cloud):
-        """The values of the edges below the bound, the ends of lifebar's
-        blocks (the first max(N, 64) edges, then doubling, each block
-        extended over the values tied with its last) and the number of long
-        edges in each block."""
+    def _long_edges_per_chunk(cloud):
+        """The values of the edges below the bound, the ends of the chunks
+        lifebar signs (its blocks are the first max(N, 64) edges, then
+        doubling, each block extended over the values tied with its last;
+        each block is cut into chunks of max(N, MIN_SIGN_CHUNK) edges) and
+        the number of long edges in each chunk."""
         _, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
         values = np.array(values)
-        ends, size = [], max(len(cloud), 64)
-        while not ends or ends[-1] < len(values):
-            end = min((ends[-1] if ends else 0) + size, len(values))
-            ends.append(int(np.searchsorted(values, values[end - 1], side="right")))
+        size, chunk = max(len(cloud), 64), max(len(cloud), MIN_SIGN_CHUNK)
+        blocks = [0]
+        while blocks[-1] < len(values):
+            end = min(blocks[-1] + size, len(values))
+            blocks.append(int(np.searchsorted(values, values[end - 1], side="right")))
             size *= 2
+        ends = [min(lo + chunk, stop)
+                for start, stop in zip(blocks, blocks[1:]) for lo in range(start, stop, chunk)]
         long = [int(np.sum(~_chord_certified(cloud.mats, gaps, iu[lo:hi], ju[lo:hi])))
                 for lo, hi in zip([0] + ends[:-1], ends)]
         return values, np.array(ends), long
 
     def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
         # the canonical noisy Klein cloud: its odd cycle closes in the second
-        # of three blocks, and both blocks read hold long edges
+        # of six chunks, the first of the second block, and the block's
+        # other chunk, ordered but never read, holds long edges
         cloud = add_noise(klein_normal(16, 16), 0.05, 0)
-        values, ends, long = self._long_edges_per_block(cloud)
+        values, ends, long = self._long_edges_per_chunk(cloud)
         rows = self._solved_rows(monkeypatch)
         lb = lifebar(cloud)
         assert not lb.empty
@@ -467,18 +479,18 @@ class TestLifebar:
         t_star = math.nextafter(lb.t_dagger, math.inf)
         first = np.searchsorted(ends, np.sum(values <= SQRT2 * lb.t_dagger), side="right")
         last = np.searchsorted(ends, np.sum(values <= SQRT2 * t_star) - 1, side="right")
-        assert first == last == 1 and len(ends) == 3
+        assert first == last == 1 and len(ends) == 6
         assert rows[0] == len(cloud)  # the points
-        assert rows[1:] == long[:last + 1] and all(long[:last + 1])
+        assert rows[1:] == long[:last + 1] and all(long[:last + 2])
 
     def test_empty_lifebar_solves_every_long_edge(self, monkeypatch):
         cloud = add_noise(torus_normal(12, 12), 0.03, 0)
-        _, _, long = self._long_edges_per_block(cloud)
+        _, _, long = self._long_edges_per_chunk(cloud)
         rows = self._solved_rows(monkeypatch)
         lb = lifebar(cloud)
         assert lb.empty
         assert rows[0] == len(cloud) and rows[1:] == [k for k in long if k]
-        assert len(rows) > 2  # more than one block
+        assert len(rows) > 2  # more than one chunk
 
     @pytest.mark.parametrize("make", [
         lambda: circle_tautological(40, 1.0),
@@ -631,7 +643,7 @@ class TestHausdorff:
         a = LiftedCloud(np.array([[0.0]]), np.zeros((1, 2, 2)), 2.0)
         b = LiftedCloud(np.array([[1.0]]), np.eye(2)[None, :, :], 2.0)
         assert hausdorff_distance(a, b) == pytest.approx(
-            gamma_dist(a.points[0], b.points[0], 2.0)
+            gamma_dist(MatrixPoint(a.xs[0], a.mats[0]), MatrixPoint(b.xs[0], b.mats[0]), 2.0)
         )
 
     def test_subset_dominated_by_superset_direction(self, rng):
@@ -648,7 +660,7 @@ class TestHausdorff:
     def test_bruteforce_oracle(self, rng):
         a = LiftedCloud(rng.normal(size=(10, 2)), rng.normal(size=(10, 2, 2)), 1.3)
         b = LiftedCloud(rng.normal(size=(10, 2)), rng.normal(size=(10, 2, 2)), 1.3)
-        pa, pb = a.points, b.points
+        pa, pb = ([MatrixPoint(x, A) for x, A in zip(c.xs, c.mats)] for c in (a, b))
         d_ab = max(min(gamma_dist(x, y, 1.3) for y in pb) for x in pa)
         d_ba = max(min(gamma_dist(x, y, 1.3) for y in pa) for x in pb)
         assert hausdorff_distance(a, b) == pytest.approx(max(d_ab, d_ba))

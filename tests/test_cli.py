@@ -291,12 +291,14 @@ class TestLifebarCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("lifebar and barcode must not call the reference pipeline")
 
-        for module, name in ((projective, "weak_simplicial_approximation"),
+        # cli's names first: cli resolves them in their home modules, and the
+        # undo would otherwise leave refuse in cli for the later tests
+        for module, name in ((cli, "triangulate_rp"), (cli, "rips_filtration"), (cli, "barcode"),
+                             (projective, "weak_simplicial_approximation"),
                              (projective, "barycentric_subdivision"),
-                             (projective, "is_coboundary"), (cli, "triangulate_rp"),
+                             (projective, "is_coboundary"),
                              (simplicial, "_flag_fill"), (simplicial, "rips_filtration"),
-                             (cli, "rips_filtration"), (z2, "barcode"), (cli, "barcode"),
-                             (bundle.LiftedCloud, "distance_matrix"),
+                             (z2, "barcode"), (bundle.LiftedCloud, "distance_matrix"),
                              (simplicial, "_flag_edges")):
             monkeypatch.setattr(module, name, refuse)
         lb = bundle.lifebar(load_cloud(str(cloud)))
@@ -369,6 +371,26 @@ def _corrupt(obj, where):
         obj["points"][2]["v"][1] = 10 ** 400
     elif where == "gamma 1e308":  # finite, but the squared distances overflow
         obj["gamma"] = 1e308
+    elif where == "x string":  # numbers that float() would read
+        obj["points"][2]["x"] = [str(v) for v in obj["points"][2]["x"]]
+    elif where == "A bool":
+        obj["points"][2]["A"][0] = [True, 0]
+    elif where == "v string":
+        for p in obj["points"]:
+            p["v"] = [1.0, 0.0]
+            del p["A"]
+        obj["points"][2]["v"] = ["0", "1"]
+    elif where == "A ragged":
+        obj["points"][2]["A"][1] = [0.0]
+    elif where == "x list":
+        obj["points"][2]["x"][1] = [0.0, 1.0]
+    elif where == "no A or v":
+        del obj["points"][2]["A"]
+    elif where in ("v zero", "v nan"):
+        for p in obj["points"]:
+            p["v"] = [1.0, 0.0]
+            del p["A"]
+        obj["points"][2]["v"] = [0.0, 0.0] if where == "v zero" else [float("nan"), 1.0]
     elif where.startswith("no "):
         for item in obj["points"] if where == "no x" else [obj]:
             del item[where[3:]]
@@ -414,6 +436,16 @@ def _corrupt(obj, where):
     ("v big int", "point 2 has a number too large for a float in 'v'"),
     ("gamma big int", "'gamma' is a number too large for a float"),
     ("gamma 1e308", "squared distances overflow a float (gamma = 1e+308)"),
+    ("x string", "point 2 has a non-numeric 'x'"),
+    ("A bool", "point 2 has a non-numeric 'A'"),
+    ("v string", "point 2 has a non-numeric 'v'"),
+    ("A ragged", "point 2 has a ragged 'A', expected shape (2, 2)"),
+    ("x list", "point 2 has a ragged 'x', expected shape (2,)"),
+    ("no A or v", "point 2 needs a matrix 'A' or a line direction 'v'"),
+    ("x", "non-finite base coordinate x at point 3"),
+    ("A", "non-finite matrix entry A at point 5"),
+    ("v zero", "point 2 has a bad 'v': near-zero direction vector"),
+    ("v nan", "point 2 has a bad 'v': non-finite direction vector"),
 ])
 def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     cloud = tmp_path / "c.json"
@@ -423,6 +455,24 @@ def test_non_finite_cloud_exits_2(tmp_path, capsys, command, where, message):
     out = tmp_path / "out.json"
     assert run(command, "--input", str(cloud), "--output", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+@pytest.mark.parametrize("output, options", [
+    ("out.svg", ()),
+    ("out.txt", ("--render", "text")),
+    ("o.json", ("--render-output", "o.json")),
+    ("o.json", ("--render", "text", "--render-output", "sub/../o.json")),
+], ids=["svg-default", "text-default", "render-output", "render-output-dotted"])
+def test_rendering_onto_output_exits_2(tmp_path, capsys, command, output, options):
+    # refused before the input is read: this one does not exist
+    out = tmp_path / output
+    options = [str(tmp_path / o) if o.endswith(".json") else o for o in options]
+    argv = [command, "--input", str(tmp_path / "missing.json"), "--output", str(out), *options]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite --output" in err and err.count(str(tmp_path)) == 2
     assert not out.exists()
 
 
