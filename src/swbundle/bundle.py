@@ -76,7 +76,7 @@ class LiftedCloud:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mats", mats)
-        # 8 max |e_i|^2 bounds distance_matrix's squared distances and _edge_blocks' screen
+        # 8 max |e_i|^2 bounds distance_matrix's squared distances and _flag_graph's screen
         with np.errstate(over="ignore"):
             emb = self.embedding()
             if not math.isfinite(8.0 * np.einsum("ij,ij->i", emb, emb).max(initial=0.0)):
@@ -215,16 +215,13 @@ def _point_field(point: dict, k: int, key: str, shape: tuple) -> np.ndarray:
 
 
 def lift_cloud(base: np.ndarray, lines: np.ndarray, gamma: float) -> LiftedCloud:
-    """Pair base points with the projectors onto their line directions.
-
-    ``lines`` may be (N, m) direction vectors or (N, m, m) matrices taken
-    as-is for the matrix part (LiftedCloud checks their shape).
-    """
+    """Pair base points with the projectors onto their (N, m) line directions
+    (line_projectors refuses any other shape)."""
     base = np.asarray(base, dtype=float)
     lines = np.asarray(lines, dtype=float)
     if base.shape[0] != lines.shape[0]:
         raise ValueError("base points and lines differ in length")
-    return LiftedCloud(base, line_projectors(lines) if lines.ndim == 2 else lines, gamma)
+    return LiftedCloud(base, line_projectors(lines), gamma)
 
 
 def checked_index_bound(cloud: LiftedCloud) -> float:
@@ -294,17 +291,13 @@ class Lifebar:
         return json.dumps(self.to_json_obj())
 
 
-def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
-    """The flag filtration's edges of value at most max_value, block by block.
-
-    Yields (i, j, values) blocks which, joined, are _flag_edges(
-    cloud.distance_matrix(), max_value) to the bit: the pairs i < j in
-    filtration order (value, i, j), with the values distance_matrix gives.
-    Only the pairs that pass a loose screen of the squared distances get
-    exact values, and each block is ordered only when it is read: the first
-    holds the `first` smallest values, each later one twice as many as the
-    one before, and every block also takes the values tied with its last.
-    """
+def _flag_graph(cloud: LiftedCloud, max_value: float):
+    """The flag filtration's edges of value at most max_value: pairs i < j in
+    row-major order, with the values distance_matrix gives, to the bit.  Its
+    Gram product is the one N x N step of lifebar and of the CLI's barcode;
+    only the pairs that pass a loose screen of the squared distances get
+    exact values."""
+    _check_max_value(max_value)
     emb = cloud.embedding()
     sq = np.sum(emb * emb, axis=1)
     G = emb @ emb.T
@@ -314,7 +307,9 @@ def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
     # (4 k + 8) eps max|emb|^2 for rows of length k, and the screen's own
     # rounding is within 4 eps max|emb|^2
     eps = np.finfo(float).eps
-    screen = (2.0 * max_value) ** 2 * (1.0 + 1e-9) + 8.0 * (emb.shape[1] + 2) * eps * sq.max()
+    with np.errstate(over="ignore"):  # past 1e154 a float64 squares to inf; a float raises
+        screen = ((2.0 * np.float64(max_value)) ** 2 * (1.0 + 1e-9)
+                  + 8.0 * (emb.shape[1] + 2) * eps * sq.max())
     half, n = sq / 2.0, len(sq)
     flat = np.flatnonzero(np.add.outer(half, half - screen / 2.0) <= G)  # row-major order
     i, j = np.divmod(flat, n)
@@ -325,7 +320,16 @@ def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
     a, b = np.maximum(s - 2.0 * G[flat], 0.0), np.maximum(s - 2.0 * G[j * n + i], 0.0)
     values = (np.sqrt(a) + np.sqrt(b)) / 2.0 / 2.0
     keep = values <= max_value
-    i, j, values = i[keep], j[keep], values[keep]
+    return i[keep], j[keep], values[keep]
+
+
+def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
+    """_flag_graph's edges in filtration order (value, i, j), block by block:
+    joined, the blocks are _flag_edges(cloud.distance_matrix(), max_value)
+    to the bit.  A block is ordered only when read: the first holds the
+    `first` smallest values, each later one twice as many as the one before,
+    and every block also takes the values tied with its last."""
+    i, j, values = _flag_graph(cloud, max_value)
     size = first
     while values.size:
         if size < values.size:
@@ -444,24 +448,25 @@ INF = float("inf")
 
 @dataclass(frozen=True)
 class Barcode:
-    """Intervals (dimension, birth, death) with death = inf for open bars."""
+    """Intervals (dimension, birth, death) with death = inf for open bars,
+    stored sorted: the one bar order of every reader and writer."""
 
     intervals: tuple
 
     def __post_init__(self) -> None:
-        ivs = tuple((int(d), float(b), float(e)) for (d, b, e) in self.intervals)
+        ivs = tuple(sorted((int(d), float(b), float(e)) for (d, b, e) in self.intervals))
         object.__setattr__(self, "intervals", ivs)
         for (d, b, e) in ivs:
             if d < 0 or b > e:
                 raise ValueError(f"bad interval {(d, b, e)}")
 
     def in_dim(self, dim: int) -> list[tuple[float, float]]:
-        return sorted((b, e) for (d, b, e) in self.intervals if d == dim)
+        return [(b, e) for (d, b, e) in self.intervals if d == dim]
 
     def to_json(self) -> str:
         payload = [
             {"dim": d, "birth": b, "death": (None if e == INF else e)}
-            for (d, b, e) in sorted(self.intervals)
+            for (d, b, e) in self.intervals
         ]
         return json.dumps(payload)
 
@@ -498,7 +503,6 @@ def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: list, max_dim:
     bars += [(0, 0.0, INF)] * (n - len(forest))
     if max_dim == 1 and values:
         bars += _h1_bars(n, iu, ju, values, tree)
-    bars.sort()
     return Barcode(tuple(bars))
 
 

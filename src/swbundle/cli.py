@@ -14,12 +14,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import datasets, lazy_names
-from .bundle import _check_max_value, _edge_blocks, _flag_barcode, checked_index_bound, lifebar
+from .bundle import _flag_barcode, _flag_graph, checked_index_bound, lifebar
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 
 log = logging.getLogger("swbundle")
@@ -78,23 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rendering_path(args) -> Optional[Path]:
-    """The file --render writes (None for json), refused when it is --output's own."""
-    if args.render == "json":
-        return None
-    path = Path(args.render_output or Path(args.output).with_suffix(_SUFFIXES[args.render]))
-    if os.path.abspath(path) == os.path.abspath(args.output):  # abspath also folds ".."
-        raise ValueError(f"the {args.render} rendering {str(path)!r} would overwrite "
-                         f"--output {args.output!r}: give another --output or --render-output")
-    return path
-
-
-def _write_rendering(args, path: Optional[Path], svg, text, *data) -> None:
-    """Write svg(*data) or text(*data) to path, as --render asks (json: no path)."""
-    if path is not None:
-        path.write_text((svg if args.render == "svg" else text)(*data))
-
-
 def _cmd_generate(args) -> int:
     spec = datasets.GeneratorSpec(
         kind=_DATASET_ALIASES[args.dataset],
@@ -110,40 +92,53 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _cloud_command(args, compute, svg, text):
+    """Load --input, compute(cloud) -> (result, *data), write result.to_json()
+    to --output and svg or text(result, *data) as --render asks; return result.
+    Before the input is read, every path is compared by os.path.abspath (which
+    folds "..", not links): none may be --input, nor the rendering --output."""
+    rendering = None if args.render == "json" else Path(
+        args.render_output or Path(args.output).with_suffix(_SUFFIXES[args.render]))
+    if rendering is not None and os.path.abspath(rendering) == os.path.abspath(args.output):
+        raise ValueError(f"the {args.render} rendering {str(rendering)!r} would overwrite "
+                         f"--output {args.output!r}: give another --output or --render-output")
+    for what, path in (("--output", args.output), (f"the {args.render} rendering", rendering)):
+        if path is not None and os.path.abspath(path) == os.path.abspath(args.input):
+            raise ValueError(f"{what} {str(path)!r} would overwrite --input {args.input!r}")
+    result, *data = compute(datasets.load_cloud(args.input))
+    Path(args.output).write_text(result.to_json() + "\n")
+    if rendering is not None:
+        rendering.write_text((svg if args.render == "svg" else text)(result, *data))
+    return result
+
+
 def _cmd_barcode(args) -> int:
     if args.max_edge is not None and not math.isfinite(args.max_edge):
         raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
-    rendering = _rendering_path(args)
-    cloud = datasets.load_cloud(args.input)
-    max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)
-    bc = _cloud_barcode(cloud, max_edge, args.max_dim)
-    Path(args.output).write_text(bc.to_json() + "\n")
-    _write_rendering(args, rendering, barcode_svg, barcode_text, bc, max_edge)
+
+    def compute(cloud):
+        max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)
+        return _cloud_barcode(cloud, max_edge, args.max_dim), max_edge
+
+    bc = _cloud_command(args, compute, barcode_svg, barcode_text)
     log.info("wrote %d bars to %s", len(bc.intervals), args.output)
     return 0
 
 
 def _cloud_barcode(cloud, max_value: float, max_dim: int):
     """rips_barcode(cloud.distance_matrix(), max_value, max_dim), from the
-    edges that _edge_blocks lists in one block: no N x N matrix is built."""
-    _check_max_value(max_value)
-    n = len(cloud)
-    none = np.zeros(0, dtype=int)
-    # a float64 bound past ~1e154 squares to inf in the edge screen, not to an OverflowError
-    with np.errstate(over="ignore"):
-        i, j, values = next(_edge_blocks(cloud, np.float64(max_value), max(1, n * (n - 1) // 2)),
-                            (none, none, np.zeros(0)))
-    return _flag_barcode(n, i, j, values.tolist(), max_dim)
+    edges that _flag_graph lists: no N x N distance matrix is built."""
+    i, j, values = _flag_graph(cloud, max_value)
+    order = np.argsort(values, kind="stable")  # filtration order (value, i, j)
+    i, j, values = i[order], j[order], values[order].tolist()  # frees the unsorted arrays
+    return _flag_barcode(len(cloud), i, j, values, max_dim)
 
 
 def _cmd_lifebar(args) -> int:
     if args.subdiv_limit < 0:  # kept in the interface; the sweep needs no subdivision
         raise ValueError(f"subdivision limit must be non-negative, got {args.subdiv_limit}")
-    rendering = _rendering_path(args)
-    cloud = datasets.load_cloud(args.input)
-    lb = lifebar(cloud, resolution=args.resolution)
-    Path(args.output).write_text(lb.to_json() + "\n")
-    _write_rendering(args, rendering, lifebar_svg, lifebar_text, lb)
+    lb = _cloud_command(args, lambda cloud: (lifebar(cloud, resolution=args.resolution),),
+                        lifebar_svg, lifebar_text)
     state = "empty" if lb.empty else f"nonzero after {lb.t_dagger!r}"
     log.info("lifebar %s on [0, %g)", state, lb.t_max)
     return 0

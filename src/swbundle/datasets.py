@@ -52,6 +52,8 @@ class GeneratorSpec:
                              "(2**20): lifebar and barcode form an N x N Gram product")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
+        if self.seed < 0:  # numpy's own refusal does not name the seed
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def generate(spec: GeneratorSpec) -> LiftedCloud:

@@ -58,17 +58,16 @@ def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: l
 
 def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
     """Bars grouped by dimension; open intervals run to the right edge."""
-    bars = sorted(bc.intervals)
-    right = _axis_tail([e for (_, b, e) in bars] + [b for (_, b, e) in bars], t_max)
+    right = _axis_tail([x for (_, b, e) in bc.intervals for x in (b, e)], t_max)
     span = _WIDTH - 2 * _MARGIN
 
     def sx(v: float) -> float:
         return _MARGIN + span * (min(v, right) / right)  # v / right first: span * v may overflow
 
-    height = _MARGIN + _ROW * (len(bars) + 2)
+    height = _MARGIN + _ROW * (len(bc.intervals) + 2)
     body = []
     y = _ROW
-    for (d, b, e) in bars:
+    for (d, b, e) in bc.intervals:
         color = _DIM_COLORS[d % len(_DIM_COLORS)]
         x0 = sx(b)
         x1 = sx(e if e != INF else right)
@@ -85,19 +84,18 @@ def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
     legend = [
         f'<text x="{_MARGIN + 70 * i}" y="{_ROW // 2 + 2}" font-size="9" '
         f'font-family="monospace" fill="{_DIM_COLORS[d % len(_DIM_COLORS)]}">H{d}</text>'
-        for i, d in enumerate(sorted({d for (d, _, _) in bars}))
+        for i, d in enumerate(dict.fromkeys(d for (d, _, _) in bc.intervals))
     ]
     return _svg(height, (), body, y + _ROW, right, sx, legend)
 
 
 def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
     """Fixed 80-column rendering, one bar per line."""
-    bars = sorted(bc.intervals)
-    right = _axis_tail([e for (_, b, e) in bars] + [b for (_, b, e) in bars], t_max)
+    right = _axis_tail([x for (_, b, e) in bc.intervals for x in (b, e)], t_max)
     label_w = 24
     span = _TEXT_COLUMNS - label_w - 1
     lines = []
-    for (d, b, e) in bars:
+    for (d, b, e) in bc.intervals:
         death = "inf" if e == INF else _fmt(e)
         label = f"H{d} [{_fmt(b)}, {death})"[:label_w].ljust(label_w)
         c0 = int(round(span * (min(b, right) / right)))

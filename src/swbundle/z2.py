@@ -349,5 +349,4 @@ def barcode(F, max_dim: int) -> Barcode:
     for v in by_dim.get(0, []):
         if v not in paired_death:
             bars.append((0, values[v], INF))
-    bars.sort()
     return Barcode(tuple(bars))

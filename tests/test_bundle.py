@@ -83,6 +83,11 @@ class TestLiftedCloud:
         with pytest.raises(ValueError):
             lift_cloud(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
 
+    def test_matrix_lines_refused(self):
+        # lines are (N, m) directions only; matrices are not passed through
+        with pytest.raises(ValueError, match=r"direction vectors of shape \(N, m\)"):
+            lift_cloud(np.zeros((2, 1)), np.stack([np.eye(2)] * 2), 1.0)
+
     def test_distance_matrix_matches_gamma_dist(self, rng):
         c = circle_tautological(10, 1.5)
         D = c.distance_matrix()

@@ -99,6 +99,14 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # refused by name before any array exists, not by numpy's bare message
+        out = tmp_path / "x.json"
+        assert run("generate", "--dataset", "mobius", "--count", "20", "--noise", "0.1",
+                   "--seed", "-1", "--output", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_overflowing_gamma_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run("generate", "--dataset", "mobius", "--count", "5",
@@ -474,6 +482,27 @@ def test_rendering_onto_output_exits_2(tmp_path, capsys, command, output, option
     err = capsys.readouterr().err
     assert "would overwrite --output" in err and err.count(str(tmp_path)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+@pytest.mark.parametrize("option", ["--output", "--render-output"])
+@pytest.mark.parametrize("spelling", ["", "./", "sub/../"], ids=["plain", "dot", "dotdot"])
+def test_writing_onto_input_exits_2(tmp_path, capsys, command, option, spelling):
+    # refused before the input is read: the cloud keeps its bytes, nothing is written
+    cloud = tmp_path / "m.json"
+    assert run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud)) == 0
+    before = cloud.read_bytes()
+    target = f"{tmp_path}/{spelling}m.json"
+    out = target if option == "--output" else str(tmp_path / "o.json")
+    argv = [command, "--input", str(cloud), "--output", out, "--render", "text"]
+    if option == "--render-output":
+        argv += ["--render-output", target]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite --input" in err and err.count(str(tmp_path)) == 2  # both paths
+    assert cloud.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 @pytest.mark.parametrize("command", ["lifebar", "barcode"])

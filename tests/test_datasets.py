@@ -194,6 +194,8 @@ class TestGenerateDispatch:
             GeneratorSpec("circle_normal", 2)
         with pytest.raises(ValueError):
             GeneratorSpec("circle_normal", 10, noise=-0.1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            GeneratorSpec("circle_normal", 10, noise=0.1, seed=-1)
 
     def test_dispatch_and_noise(self):
         spec = GeneratorSpec("circle_tautological", 12, noise=0.02, seed=9)

@@ -1,8 +1,11 @@
-"""The lifebar's lazy edge list and chord certificate against their references.
+"""The flag graph's edge list, its lazy order and the chord certificate
+against their references.
 
-_edge_blocks must list the flag filtration's edges exactly as
-_flag_edges(cloud.distance_matrix(), v) does: the same pairs, in the same
-(value, i, j) order, with the same values to the bit.  The chord certificate
+_flag_graph must list the pairs and values of _flag_edges(
+cloud.distance_matrix(), v) in row-major order, and _edge_blocks must list
+the flag filtration's edges exactly as _flag_edges(cloud.distance_matrix(),
+v) does: the same pairs, in the same (value, i, j) order, with the same
+values to the bit.  The chord certificate
 must give the flip the midpoint rule gives on every edge below the bound.
 """
 
@@ -17,8 +20,10 @@ from swbundle.bundle import (
     _chord_certified,
     _edge_blocks,
     _edge_flips,
+    _flag_graph,
     _point_lines,
     _top_eigenvectors,
+    checked_index_bound,
 )
 from swbundle.datasets import circle_normal
 from swbundle.simplicial import _flag_edges
@@ -69,6 +74,21 @@ def test_edge_blocks_match_flag_edges(name):
     cloud = EDGE_CLOUDS[name]()
     for first in (1, 7, max(len(cloud), 64)):
         _assert_blocks_match(cloud, _max_value(cloud), first)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CLOUDS))
+def test_flag_graph_matches_flag_edges_in_row_major_order(name):
+    # from no edge up to bounds whose square overflows a float
+    cloud = EDGE_CLOUDS[name]()
+    D, n = cloud.distance_matrix(), len(cloud)
+    lifebar_bound = _max_value(cloud)
+    for v in (0.0, lifebar_bound / 2, checked_index_bound(cloud), lifebar_bound, 1e200, 1.79e308):
+        _, iu, ju, values = _flag_edges(D, v)
+        i, j, got = _flag_graph(cloud, v)
+        assert np.all(np.diff(i * n + j) > 0) and np.all(i < j)  # row-major, upper triangle
+        row_major = np.lexsort((ju, iu))
+        assert np.array_equal(i, iu[row_major]) and np.array_equal(j, ju[row_major])
+        assert got.tolist() == [values[r] for r in row_major.tolist()]  # to the bit
 
 
 def test_edge_blocks_at_antipodal_near_ties():

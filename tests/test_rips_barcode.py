@@ -390,3 +390,16 @@ def test_property_matches_reference():
         assert_matches_reference(distances(np.array(points)), max_value)
 
     check()
+
+
+def test_barcode_stores_its_intervals_sorted():
+    # the one bar order: in_dim, to_json and the renderers read it as stored
+    bc = Barcode(((1, 0.5, INF), (0, 0.0, 0.3), (1, 0.25, 0.75), (0, 0.0, INF), (0, 0.0, 0.1)))
+    want = ((0, 0.0, 0.1), (0, 0.0, 0.3), (0, 0.0, INF), (1, 0.25, 0.75), (1, 0.5, INF))
+    assert bc.intervals == want
+    assert bc.in_dim(0) == [(0.0, 0.1), (0.0, 0.3), (0.0, INF)]
+    assert bc.in_dim(1) == [(0.25, 0.75), (0.5, INF)]
+    rows = json.loads(bc.to_json())
+    assert [(r["dim"], r["birth"], INF if r["death"] is None else r["death"])
+            for r in rows] == list(want)
+    assert Barcode.from_json(json.dumps(rows[::-1])).intervals == want
