@@ -9,6 +9,8 @@ from swbundle.bundle import (
     LiftedCloud,
     _chord_certified,
     _point_lines,
+    _projector_certified,
+    _projector_distances,
     checked_index_bound,
     hausdorff_distance,
     lifebar,
@@ -455,10 +457,14 @@ class TestLifebar:
         lifebar signs (its blocks are the first max(N, 64) edges, then
         doubling, each block extended over the values tied with its last;
         each block is cut into chunks of max(N, MIN_SIGN_CHUNK) edges) and
-        the number of long edges in each chunk."""
-        _, gaps, bound = _point_lines(cloud)
+        the number of long edges, which neither certificate covers, in each
+        chunk."""
+        u, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
         values = np.array(values)
+        c = np.einsum("ij,ij->i", u[iu], u[ju])
+        long = ~_projector_certified(c, _projector_distances(cloud.mats, u), iu, ju)
+        long &= ~_chord_certified(cloud.mats, gaps, iu, ju)
         size, chunk = max(len(cloud), 64), max(len(cloud), MIN_SIGN_CHUNK)
         blocks = [0]
         while blocks[-1] < len(values):
@@ -467,31 +473,40 @@ class TestLifebar:
             size *= 2
         ends = [min(lo + chunk, stop)
                 for start, stop in zip(blocks, blocks[1:]) for lo in range(start, stop, chunk)]
-        long = [int(np.sum(~_chord_certified(cloud.mats, gaps, iu[lo:hi], ju[lo:hi])))
-                for lo, hi in zip([0] + ends[:-1], ends)]
+        long = [int(np.sum(long[lo:hi])) for lo, hi in zip([0] + ends[:-1], ends)]
         return values, np.array(ends), long
 
     def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
-        # the canonical noisy Klein cloud: its odd cycle closes in the second
-        # of six chunks, the first of the second block, and the block's
-        # other chunk, ordered but never read, holds long edges
-        cloud = add_noise(klein_normal(16, 16), 0.05, 0)
-        values, ends, long = self._long_edges_per_chunk(cloud)
+        # the canonical noisy Klein cloud carries projectors: the projector
+        # certificate signs every edge, so only the points are solved
         rows = self._solved_rows(monkeypatch)
+        projectors = add_noise(klein_normal(16, 16), 0.05, 0)
+        assert not lifebar(projectors).empty
+        assert rows == [len(projectors)]
+        # its matrix parts moved off G_1 (at gamma 2): the odd cycle closes
+        # in the second of seven chunks, the first of the second block, and
+        # the block's other chunk, ordered but never read, holds long edges
+        cloud = _non_projector(add_noise(klein_normal(16, 16, 2.0), 0.05, 0), 3, 0.02, 1.0)
+        values, ends, long = self._long_edges_per_chunk(cloud)
+        rows.clear()
         lb = lifebar(cloud)
         assert not lb.empty
         # the closing edge has a value in (SQRT2 * t_dagger, SQRT2 * t*]
         t_star = math.nextafter(lb.t_dagger, math.inf)
         first = np.searchsorted(ends, np.sum(values <= SQRT2 * lb.t_dagger), side="right")
         last = np.searchsorted(ends, np.sum(values <= SQRT2 * t_star) - 1, side="right")
-        assert first == last == 1 and len(ends) == 6
+        assert first == last == 1 and len(ends) == 7
         assert rows[0] == len(cloud)  # the points
         assert rows[1:] == long[:last + 1] and all(long[:last + 2])
 
     def test_empty_lifebar_solves_every_long_edge(self, monkeypatch):
-        cloud = add_noise(torus_normal(12, 12), 0.03, 0)
-        _, _, long = self._long_edges_per_chunk(cloud)
         rows = self._solved_rows(monkeypatch)
+        projectors = add_noise(torus_normal(12, 12), 0.03, 0)
+        assert lifebar(projectors).empty
+        assert rows == [len(projectors)]  # every edge certified by the projectors
+        cloud = _non_projector(projectors, 0, 0.02, 1.0)
+        _, _, long = self._long_edges_per_chunk(cloud)
+        rows.clear()
         lb = lifebar(cloud)
         assert lb.empty
         assert rows[0] == len(cloud) and rows[1:] == [k for k in long if k]
@@ -562,11 +577,14 @@ class TestMedialAxisCloud:
         assert checked_index_bound(cloud) == rips_index_bound(cloud) > 0.0
 
 
-def _non_projector(cloud, seed, noise=0.05):
-    """Rescaled, slightly asymmetric matrix parts: off G_1, off the medial axis."""
+def _non_projector(cloud, seed, noise=0.05, shift=0.0):
+    """Rescaled, slightly asymmetric matrix parts: off G_1, off the medial axis.
+    A shift by shift * I keeps every line and eigen-gap; at shift 1 and a
+    small noise every point is farther than 1/2 from its projector, so the
+    projector certificate (c^2 > 2 d) signs no edge."""
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.8, 1.2, size=(len(cloud), 1, 1))
-    mats = cloud.mats * scale + noise * rng.normal(size=cloud.mats.shape)
+    mats = (cloud.mats + shift * np.eye(cloud.m)) * scale + noise * rng.normal(size=cloud.mats.shape)
     return LiftedCloud(cloud.xs, mats, cloud.gamma)
 
 

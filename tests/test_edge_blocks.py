@@ -1,12 +1,12 @@
-"""The flag graph's edge list, its lazy order and the chord certificate
+"""The flag graph's edge list, its lazy order and the edge-sign certificates
 against their references.
 
 _flag_graph must list the pairs and values of _flag_edges(
 cloud.distance_matrix(), v) in row-major order, and _edge_blocks must list
 the flag filtration's edges exactly as _flag_edges(cloud.distance_matrix(),
 v) does: the same pairs, in the same (value, i, j) order, with the same
-values to the bit.  The chord certificate
-must give the flip the midpoint rule gives on every edge below the bound.
+values to the bit.  The projector and chord certificates must give the
+flip the midpoint rule gives on every edge below the bound.
 """
 
 import math
@@ -22,6 +22,8 @@ from swbundle.bundle import (
     _edge_flips,
     _flag_graph,
     _point_lines,
+    _projector_certified,
+    _projector_distances,
     _top_eigenvectors,
     checked_index_bound,
 )
@@ -115,7 +117,7 @@ def test_certified_flips_equal_midpoint_flips(name):
     _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
     certified = _chord_certified(cloud.mats, gaps, i, j)
     assert certified.any() != (name == "torus-8")  # its grid is too coarse for a short chord
-    flips = _edge_flips(cloud.mats, u, gaps, i, j)
+    flips = _edge_flips(cloud.mats, u, gaps, _projector_distances(cloud.mats, u), i, j)
     assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
     assert np.array_equal(flips[certified], np.einsum("ij,ij->i", u[i], u[j])[certified] < 0.0)
 
@@ -155,8 +157,145 @@ def test_property_chord_certificate_at_its_threshold():
         hypothesis.assume(np.linalg.norm(E) < SQRT2 * min(gaps) * 0.999)
         i, j = np.array([0]), np.array([1])
         cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
-        flip = bool(_edge_flips(mats, u, gaps, i, j)[0])
+        flip = bool(_edge_flips(mats, u, gaps, _projector_distances(mats, u), i, j)[0])
         assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
         assert flip == _path_flip(A, B, u[0], u[1])
+
+    check()
+
+
+def _rule_masks(cloud):
+    """Which rule signs each edge below the bound: the projector certificate,
+    the chord certificate alone, or a midpoint."""
+    u, gaps, _ = _point_lines(cloud)
+    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    c = np.einsum("ij,ij->i", u[i], u[j])
+    projector = _projector_certified(c, _projector_distances(cloud.mats, u), i, j)
+    chord = ~projector & _chord_certified(cloud.mats, gaps, i, j)
+    return projector, chord, ~projector & ~chord
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))
+def test_projector_certificate_covers_cross_check_clouds(name):
+    # projector payloads and the mildly perturbed ones alike
+    projector, _, _ = _rule_masks(CROSS_CHECK_CLOUDS[name]())
+    assert projector.size and projector.all()
+
+
+def test_strong_non_projector_clouds_use_every_rule():
+    # each cloud is signed in part by the projector certificate and in part
+    # by the chord test alone; the midpoint rule signs what is left
+    midpoints = 0
+    for name, make in sorted(STRONG_NON_PROJECTOR_CLOUDS.items()):
+        projector, chord, midpoint = _rule_masks(make())
+        assert projector.any() and chord.any(), name
+        midpoints += int(midpoint.sum())
+    assert midpoints
+
+
+def _reflected(B, a, b):
+    """H B H for the Householder reflection H that maps the unit vector a to b."""
+    x = a - b
+    H = np.eye(len(a)) - 2.0 * np.outer(x, x) / (x @ x)
+    return H @ B @ H
+
+
+def _assert_flip_agrees(mats):
+    """_edge_flips on the edge 01, the midpoint flip and the flip followed
+    along the segment agree; returns whether the projector certificate
+    signed it."""
+    u, gaps = _top_eigenvectors(mats, "point")
+    dist = _projector_distances(mats, u)
+    i, j = np.array([0]), np.array([1])
+    cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
+    flip = bool(_edge_flips(mats, u, gaps, dist, i, j)[0])
+    assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
+    assert flip == _path_flip(mats[0], mats[1], u[0], u[1])
+    return bool(_projector_certified(np.array([u[0] @ u[1]]), dist, i, j)[0])
+
+
+def test_property_projector_certificate_at_its_threshold():
+    # near-projector pairs A_i = u_i u_i' + F_i whose c = u_i . u_j has c^2
+    # within 1% of 2 max(d_i, d_j), on both sides of the threshold and of
+    # either sign, below both points' bounds: the certificate refuses every
+    # pair below the threshold and signs every pair above it and its margins
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sides = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 4), st.floats(0.005, 0.45), st.floats(0.0, 1.0), st.floats(0.99, 1.01),
+        st.sampled_from([-1.0, 1.0]), st.integers(0, 2**16),
+    )
+    def check(m, d, share, ratio, sign, seed):
+        rng = np.random.default_rng(seed)
+        F = rng.normal(size=(2, m, m))
+        F += F.transpose(0, 2, 1)
+        F *= (np.array([d, share * d]) / np.linalg.norm(F, axis=(1, 2)))[:, None, None]
+        e = np.eye(m)[0]
+        A, B = np.outer(e, e) + F[0], np.outer(e, e) + F[1]
+        u, _ = _top_eigenvectors(np.stack([A, B]), "point")
+        dist = _projector_distances(np.stack([A, B]), u)
+        # turn B so that its line meets A's at the drawn c; the reflection
+        # keeps its distance from its projector
+        c = sign * math.sqrt(ratio * 2.0 * dist.max())
+        w = rng.normal(size=m)
+        w -= (w @ u[0]) * u[0]
+        target = c * u[0] + math.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+        mats = np.stack([A, _reflected(B, u[1], target)])
+        _, gaps = _top_eigenvectors(mats, "point")
+        hypothesis.assume(np.linalg.norm(mats[0] - mats[1]) < SQRT2 * min(gaps) * 0.999)
+        certified = _assert_flip_agrees(mats)
+        # 1 + 1e-5 clears the relative margin CHORD_MARGIN and, at d >= 0.005,
+        # the absolute GAP_TOLERANCE
+        if ratio < 1.0:
+            assert not certified
+        elif ratio > 1.0 + 1e-5:
+            assert certified
+        sides.add(certified)
+
+    check()
+    assert sides == {False, True}
+
+
+def test_certificates_refuse_a_pair_the_sign_rule_gets_wrong():
+    # Below the bound no pair has a transport that differs from sign(c).
+    # With E = sym(A_j - A_i), spread s = lambda_max(E) - lambda_min(E) <=
+    # sqrt(2) |E|_F < g_i + g_j.  A top line w of M = A_i + t E orthogonal
+    # to u_i would need t s >= t (w'Ew - u_i'Eu_i) >= g_i + g_M (Courant-
+    # Fischer at A_i and at M) and g_M >= g_j - (1 - t) s (Weyl), so s >=
+    # g_i + g_j.  So the line never turns orthogonal to u_i, and the
+    # certificates guard the rounding of c, not the rule.  Past the bound
+    # the rule can fail: on this m = 3 pair c < 0, yet the top line, whose
+    # gap stays above 0.03 along the segment, arrives as +u_j.  Both
+    # certificates refuse it.
+    mats = np.array([
+        [[0.1, 0.1, -0.1], [0.1, -0.6, -0.3], [-0.1, -0.3, -0.4]],
+        [[-0.4, -0.3, 0.1], [-0.3, -0.6, 0.1], [0.1, 0.1, 0.1]],
+    ])
+    u, gaps = _top_eigenvectors(mats, "point")
+    i, j = np.array([0]), np.array([1])
+    c = u[0] @ u[1]
+    assert c < -0.1 and not _path_flip(mats[0], mats[1], u[0], u[1])
+    spread = np.ptp(np.linalg.eigvalsh(mats[1] - mats[0]))
+    assert spread > gaps.sum() and np.linalg.norm(mats[1] - mats[0]) > SQRT2 * gaps.max()
+    assert not _projector_certified(np.array([c]), _projector_distances(mats, u), i, j)[0]
+    assert not _chord_certified(mats, gaps, i, j)[0]
+
+
+def test_property_exact_projectors_are_certified():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 4), st.one_of(st.floats(-0.99, -0.01), st.floats(0.01, 0.99)),
+        st.integers(0, 2**16),
+    )
+    def check(m, c, seed):
+        Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(m, m)))[0]
+        v = c * Q[:, 0] + math.sqrt(1.0 - c * c) * Q[:, 1]
+        assert _assert_flip_agrees(np.stack([np.outer(Q[:, 0], Q[:, 0]), np.outer(v, v)]))
 
     check()
