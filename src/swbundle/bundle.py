@@ -344,48 +344,29 @@ def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
         size *= 2
 
 
-# relative margin of the projector and chord certificates against the
-# rounding of the eigen-gaps, of |A_i - A_j|_F and of the projector distances;
-# it keeps |u_i . u_j| above 7e-4 in the chord test
+# relative margin of the edge certificate against the rounding of the
+# eigen-gaps and of |A_i - A_j|_F
 CHORD_MARGIN = 1e-6
-# fewest edges lifebar signs in one chunk: a chunk's fixed cost (one eigensolve
-# and about a dozen numpy calls, some 60 us on a 2-vCPU VM) outweighs what a
-# smaller chunk can skip
-MIN_SIGN_CHUNK = 256
 
 
-def _projector_distances(mats: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each point's distance |sym(A_i) - u_i u_i'|_F from the projector onto
-    its line u_i (the top eigenvectors of _point_lines)."""
-    R = (mats + mats.transpose(0, 2, 1)) / 2.0 - u[:, :, None] * u[:, None, :]
-    return np.sqrt(np.einsum("kab,kab->k", R, R))
-
-
-def _projector_certified(c: np.ndarray, dist: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The edges ij whose c = u_i . u_j has c^2 > 2 max(d_i, d_j), with the
-    margins of CHORD_MARGIN and GAP_TOLERANCE: their flip is c < 0 (see
-    lifebar)."""
-    return c * c > 2.0 * (1.0 + CHORD_MARGIN) * np.maximum(dist[i], dist[j]) + GAP_TOLERANCE
-
-
-def _chord_certified(mats: np.ndarray, gaps: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The edges ij with sqrt(2) |A_i - A_j|_F < max(g_i, g_j), with a
-    relative margin: their flip is u_i . u_j < 0 (see lifebar)."""
+def _chord_certified(mats: np.ndarray, gaps: np.ndarray, c: np.ndarray, i: np.ndarray,
+                     j: np.ndarray) -> np.ndarray:
+    """The edges ij with sqrt(2) |A_i - A_j|_F < g_i + g_j, with a relative
+    margin, whose c = u_i . u_j has c^2 > GAP_TOLERANCE: their flip is c < 0
+    (see lifebar)."""
     dA = mats[i] - mats[j]
     chord2 = np.einsum("kab,kab->k", dA, dA)
-    return 2.0 * (1.0 + CHORD_MARGIN) * chord2 < np.maximum(gaps[i], gaps[j]) ** 2
+    short = 2.0 * (1.0 + CHORD_MARGIN) * chord2 < (gaps[i] + gaps[j]) ** 2
+    return short & (c * c > GAP_TOLERANCE)
 
 
-def _edge_flips(mats, u, gaps, dist, i, j, first: int = 0) -> np.ndarray:
+def _edge_flips(mats, u, gaps, i, j, first: int = 0) -> np.ndarray:
     """Whether the fiber line flips along each edge ij below the bound: by the
-    projector certificate, else by the chord certificate, else by the
-    midpoint rule (see lifebar); dist is _projector_distances.  The
+    chord certificate, else by the midpoint rule (see lifebar).  The
     midpoints are numbered from first in MedialAxisError."""
     c = np.einsum("ij,ij->i", u[i], u[j])
     flips = c < 0.0
-    long = np.flatnonzero(~_projector_certified(c, dist, i, j))
-    if long.size:
-        long = long[~_chord_certified(mats, gaps, i[long], j[long])]
+    long = np.flatnonzero(~_chord_certified(mats, gaps, c, i, j))
     if long.size:
         li, lj = i[long], j[long]
         mid, _ = _top_eigenvectors((mats[li] + mats[lj]) / 2.0, "edge midpoint", first + long)
@@ -415,63 +396,50 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     bound lie within GAP_TOLERANCE of the medial axis: the MedialAxisError
     check asserts this on the midpoints solved.
 
-    Chord certificate: if sqrt(2) |A_i - A_j|_F < max(g_i, g_j), the same
-    argument holds on the whole segment from the endpoint of larger gap, so
-    its top line never turns orthogonal to that endpoint's and the edge
-    flips iff u_i . u_j < 0, with no midpoint solve.  A relative margin of
-    CHORD_MARGIN guards the test against rounding.
+    Chord certificate: if sqrt(2) |A_i - A_j|_F < g_i + g_j, the edge flips
+    iff c = u_i . u_j < 0, with no midpoint solve.  Let E = sym(A_j - A_i)
+    and s = lambda_max(E) - lambda_min(E); then s <= sqrt(2) |E|_F <=
+    sqrt(2) |A_i - A_j|_F < g_i + g_j.  On the segment M = A_i + t E, Weyl
+    gives g_M >= g_i - t s and g_M >= g_j - (1 - t) s, so g_M > 0 and the
+    top line stays simple.  A top eigenvector w of M orthogonal to u_i
+    would have w'A_i w <= lambda_1(A_i) - g_i and u_i'M u_i <= lambda_1(M)
+    - g_M (Courant-Fischer at A_i and at M), so t (w'Ew - u_i'Eu_i) >=
+    g_i + g_M >= g_i + g_j - (1 - t) s, hence s >= g_i + g_j.  So the line
+    never turns orthogonal to u_i and arrives as sign(c) u_j.  Rounding:
+    A_i - A_j is formed entrywise to eps relative, so |A_i - A_j|_F^2 is off
+    by about (m^2 + 2) eps relative, and the eigensolve's gaps by about
+    m eps |A|; the relative margin CHORD_MARGIN covers both while g_i + g_j
+    exceeds about 4 m eps |A| / CHORD_MARGIN, near GAP_TOLERANCE at |A| ~ 1.
+    The proof gives c != 0 but no lower bound on |c|, and c is a dot
+    product of eigenvectors each off by about eps |A| / g, so the test also
+    asks c^2 > GAP_TOLERANCE (|c| > 3.2e-5), far above that rounding.
 
-    Projector certificate: let d_i = |sym(A_i) - u_i u_i'|_F, point i's
-    distance from the projector P_i onto its own line.  If c = u_i . u_j
-    has c^2 > 2 max(d_i, d_j), the edge flips iff c < 0.  On the segment,
-    sym((1 - s) A_i + s A_j) = (1 - s) P_i + s P_j + R_s, and |R_s| is at
-    most d = max(d_i, d_j) (the Frobenius norm bounds the spectral norm).
-    The top line of (1 - s) P_i + s P_j lies inside the acute angle between
-    u_i and sign(c) u_j, so it is at least arcsin |c| away from the
-    hyperplanes normal to u_i and to u_j, and its eigen-gap
-    sqrt(1 - 4 s (1 - s)(1 - c^2)) is at least |c| >= c^2 > 2 d, so the
-    segment's top line stays simple.  By Davis-Kahan in Yu, Wang and
-    Samworth's form (Biometrika 2015), R_s turns it by at most
-    arcsin(2 d / |c|) < arcsin |c|: the line never turns orthogonal to u_i
-    and arrives as sign(c) u_j.  The test is c^2 > 2 (1 + CHORD_MARGIN) d
-    + GAP_TOLERANCE.  c is a dot product of unit vectors of length m, off
-    by about m eps; d is computed from the same symmetric part that the
-    eigensolve reads, off by about m eps plus a few eps relative, and the
-    computed u_i are unit to within m eps.  The relative margin covers the
-    relative error and GAP_TOLERANCE, some 1e6 times larger, the absolute
-    ones.
-
-    The projector certificate is tested first, the chord certificate on the
-    edges it leaves, and only the edges neither covers (the long edges)
-    have their midpoints solved and checked.  A projector cloud has d at
-    the rounding, so it certifies every edge with |c| above about 3.2e-5
-    (sqrt(GAP_TOLERANCE)).
+    Only the edges the certificate refuses (the long edges: a sliver within
+    about 5e-7 relative of the bound, or |c| at most 3.2e-5) have their
+    midpoints solved and checked.  On projector payloads (gaps 1, |P_i -
+    P_j|_F^2 = 2 (1 - c^2)) the test reads c^2 > CHORD_MARGIN / (1 +
+    CHORD_MARGIN): every edge with |c| above 1e-3 is certified.
 
     The edges are listed and ordered lazily (see _edge_blocks), block by
     block in filtration order, only as far as the sweep reads: the first
     block has max(n, 64) edges and each later one twice as many, plus ties,
     so at most about twice the edges up to the closing one plus one block
-    are ordered.  Each block is signed in chunks of max(n, MIN_SIGN_CHUNK)
-    edges, a chunk only when the sweep reads it, so fewer than that many
-    edges past the closing one are signed.  An empty lifebar solves the
-    midpoint of every long edge below the bound.
+    are ordered and signed.  An empty lifebar solves the midpoint of every
+    long edge below the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, gaps, bound = _point_lines(cloud)
-    dist = _projector_distances(cloud.mats, u)
-    n, chunk = len(cloud), max(len(cloud), MIN_SIGN_CHUNK)
+    n = len(cloud)
     read = []  # the values of the blocks the sweep reads
 
-    def chunks():
+    def blocks():
         for i, j, values in _edge_blocks(cloud, math.nextafter(SQRT2 * bound, 0.0), max(n, 64)):
             first = sum(map(len, read))  # the filtration position of the block's first edge
             read.append(values)
-            for lo in range(0, len(values), chunk):
-                ci, cj = i[lo: lo + chunk], j[lo: lo + chunk]
-                yield ci, cj, _edge_flips(cloud.mats, u, gaps, dist, ci, cj, first + lo)
+            yield i, j, _edge_flips(cloud.mats, u, gaps, i, j, first)
 
-    closing = _odd_cycle_sweep(n, chunks())[0]
+    closing = _odd_cycle_sweep(n, blocks())[0]
     if closing is None:
         return Lifebar(bound, None, resolution)
     value = float(np.concatenate(read)[closing])

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from swbundle.bundle import (
-    MIN_SIGN_CHUNK,
     LiftedCloud,
     _chord_certified,
     _point_lines,
-    _projector_certified,
-    _projector_distances,
     checked_index_bound,
     hausdorff_distance,
     lifebar,
@@ -452,65 +449,74 @@ class TestLifebar:
         return rows
 
     @staticmethod
-    def _long_edges_per_chunk(cloud):
-        """The values of the edges below the bound, the ends of the chunks
-        lifebar signs (its blocks are the first max(N, 64) edges, then
-        doubling, each block extended over the values tied with its last;
-        each block is cut into chunks of max(N, MIN_SIGN_CHUNK) edges) and
-        the number of long edges, which neither certificate covers, in each
-        chunk."""
+    def _refused_per_block(cloud):
+        """The values of the edges below the bound, the ends of the blocks
+        lifebar signs (the first max(N, 64) edges, then doubling, each block
+        extended over the values tied with its last) and the number of
+        edges the chord certificate refuses in each block."""
         u, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
         values = np.array(values)
         c = np.einsum("ij,ij->i", u[iu], u[ju])
-        long = ~_projector_certified(c, _projector_distances(cloud.mats, u), iu, ju)
-        long &= ~_chord_certified(cloud.mats, gaps, iu, ju)
-        size, chunk = max(len(cloud), 64), max(len(cloud), MIN_SIGN_CHUNK)
-        blocks = [0]
-        while blocks[-1] < len(values):
-            end = min(blocks[-1] + size, len(values))
-            blocks.append(int(np.searchsorted(values, values[end - 1], side="right")))
+        refused = ~_chord_certified(cloud.mats, gaps, c, iu, ju)
+        size, ends = max(len(cloud), 64), [0]
+        while ends[-1] < len(values):
+            end = min(ends[-1] + size, len(values))
+            ends.append(int(np.searchsorted(values, values[end - 1], side="right")))
             size *= 2
-        ends = [min(lo + chunk, stop)
-                for start, stop in zip(blocks, blocks[1:]) for lo in range(start, stop, chunk)]
-        long = [int(np.sum(long[lo:hi])) for lo, hi in zip([0] + ends[:-1], ends)]
-        return values, np.array(ends), long
+        refused = [int(np.sum(refused[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+        return values, np.array(ends[1:]), refused
 
-    def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
-        # the canonical noisy Klein cloud carries projectors: the projector
-        # certificate signs every edge, so only the points are solved
-        rows = self._solved_rows(monkeypatch)
-        projectors = add_noise(klein_normal(16, 16), 0.05, 0)
-        assert not lifebar(projectors).empty
-        assert rows == [len(projectors)]
-        # its matrix parts moved off G_1 (at gamma 2): the odd cycle closes
-        # in the second of seven chunks, the first of the second block, and
-        # the block's other chunk, ordered but never read, holds long edges
-        cloud = _non_projector(add_noise(klein_normal(16, 16, 2.0), 0.05, 0), 3, 0.02, 1.0)
-        values, ends, long = self._long_edges_per_chunk(cloud)
+    def _assert_solves_the_blocks_it_reads(self, rows, cloud):
+        """lifebar(cloud) solves the points, then the refused edges of each
+        block up to the one holding the closing edge (every block for an
+        empty lifebar), one stack per block that has any; returns the
+        refused counts of the blocks read and of the blocks left."""
+        values, ends, refused = self._refused_per_block(cloud)
         rows.clear()
         lb = lifebar(cloud)
-        assert not lb.empty
-        # the closing edge has a value in (SQRT2 * t_dagger, SQRT2 * t*]
-        t_star = math.nextafter(lb.t_dagger, math.inf)
-        first = np.searchsorted(ends, np.sum(values <= SQRT2 * lb.t_dagger), side="right")
-        last = np.searchsorted(ends, np.sum(values <= SQRT2 * t_star) - 1, side="right")
-        assert first == last == 1 and len(ends) == 7
-        assert rows[0] == len(cloud)  # the points
-        assert rows[1:] == long[:last + 1] and all(long[:last + 2])
+        read = len(ends)
+        if not lb.empty:
+            # the closing edge has a value in (SQRT2 * t_dagger, SQRT2 * t*]
+            t_star = math.nextafter(lb.t_dagger, math.inf)
+            first = np.searchsorted(ends, np.sum(values <= SQRT2 * lb.t_dagger), side="right")
+            last = np.searchsorted(ends, np.sum(values <= SQRT2 * t_star) - 1, side="right")
+            assert first == last
+            read = int(last) + 1
+        assert rows == [len(cloud)] + [k for k in refused[:read] if k]
+        return lb, refused[:read], refused[read:]
+
+    def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
+        rows = self._solved_rows(monkeypatch)
+        # the canonical noisy Klein cloud and its matrix parts moved off G_1
+        # at shift 1 (gamma 2): the certificate signs every edge, so only the
+        # points are solved
+        for cloud in (add_noise(klein_normal(16, 16), 0.05, 0),
+                      SHIFT_ONE_CLOUDS["klein-16-noisy-shift-1"]()):
+            lb, read, left = self._assert_solves_the_blocks_it_reads(rows, cloud)
+            assert not lb.empty and rows == [len(cloud)] and not any(read + left)
+        # twins 1e-4 from orthogonal at one base point: their edges lie a
+        # relative 5e-9 below the bound, in the sliver the certificate
+        # refuses.  The Mobius class closes in the first block, and the
+        # twins' edges in the last block are never solved; on the circle
+        # the one block holding the closing edge also holds the twin's
+        lb, _, left = self._assert_solves_the_blocks_it_reads(
+            rows, _twinned(circle_tautological(20, 1.0), 3))
+        assert not lb.empty and rows == [27] and left[-1] == 7
+        lb, _, left = self._assert_solves_the_blocks_it_reads(
+            rows, _twinned(circle_normal(12, 1.0), 12))
+        assert not lb.empty and rows == [13, 1] and not left
 
     def test_empty_lifebar_solves_every_long_edge(self, monkeypatch):
         rows = self._solved_rows(monkeypatch)
-        projectors = add_noise(torus_normal(12, 12), 0.03, 0)
-        assert lifebar(projectors).empty
-        assert rows == [len(projectors)]  # every edge certified by the projectors
-        cloud = _non_projector(projectors, 0, 0.02, 1.0)
-        _, _, long = self._long_edges_per_chunk(cloud)
-        rows.clear()
-        lb = lifebar(cloud)
-        assert lb.empty
-        assert rows[0] == len(cloud) and rows[1:] == [k for k in long if k]
-        assert len(rows) > 2  # more than one chunk
+        # the noisy torus and its matrix parts at shift 1: every edge signed
+        for cloud in (add_noise(torus_normal(12, 12), 0.03, 0),
+                      SHIFT_ONE_CLOUDS["torus-12-noisy-shift-1"]()):
+            lb, _, _ = self._assert_solves_the_blocks_it_reads(rows, cloud)
+            assert lb.empty and rows == [len(cloud)]
+        # a circle at gamma 0.5 with twins: the sliver edges of both blocks
+        lb, _, _ = self._assert_solves_the_blocks_it_reads(rows, _twinned(circle_normal(30, 0.5), 7))
+        assert lb.empty and rows == [35, 4, 1]
 
     @pytest.mark.parametrize("make", [
         lambda: circle_tautological(40, 1.0),
@@ -580,12 +586,33 @@ class TestMedialAxisCloud:
 def _non_projector(cloud, seed, noise=0.05, shift=0.0):
     """Rescaled, slightly asymmetric matrix parts: off G_1, off the medial axis.
     A shift by shift * I keeps every line and eigen-gap; at shift 1 and a
-    small noise every point is farther than 1/2 from its projector, so the
-    projector certificate (c^2 > 2 d) signs no edge."""
+    small noise every point is farther than 1/2 from its projector."""
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.8, 1.2, size=(len(cloud), 1, 1))
     mats = (cloud.mats + shift * np.eye(cloud.m)) * scale + noise * rng.normal(size=cloud.mats.shape)
     return LiftedCloud(cloud.xs, mats, cloud.gamma)
+
+
+# the noisy Klein and torus clouds with every matrix part farther than 1/2
+# from its projector
+SHIFT_ONE_CLOUDS = {
+    "klein-16-noisy-shift-1": lambda: _non_projector(
+        add_noise(klein_normal(16, 16, 2.0), 0.05, 0), 3, 0.02, 1.0),
+    "torus-12-noisy-shift-1": lambda: _non_projector(
+        add_noise(torus_normal(12, 12), 0.03, 0), 0, 0.02, 1.0),
+}
+
+
+def _twinned(cloud, every, c=1e-4):
+    """A cloud in R^n x G_1(R^2) plus a twin at every every-th point: the same
+    base point, with the projector onto the line that meets the point's at
+    u . u_twin = c.  |P - P_twin|_F^2 = 2 (1 - c^2), so each pair is an edge
+    just below the bound that the chord certificate refuses."""
+    u, _, _ = _point_lines(cloud)
+    u = u[::every]
+    w = c * u + math.sqrt(1.0 - c * c) * np.stack([-u[:, 1], u[:, 0]], axis=1)
+    return LiftedCloud(np.concatenate([cloud.xs, cloud.xs[::every]]),
+                       np.concatenate([cloud.mats, w[:, :, None] * w[:, None, :]]), cloud.gamma)
 
 
 CROSS_CHECK_CLOUDS = {

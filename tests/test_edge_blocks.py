@@ -5,8 +5,8 @@ _flag_graph must list the pairs and values of _flag_edges(
 cloud.distance_matrix(), v) in row-major order, and _edge_blocks must list
 the flag filtration's edges exactly as _flag_edges(cloud.distance_matrix(),
 v) does: the same pairs, in the same (value, i, j) order, with the same
-values to the bit.  The projector and chord certificates must give the
-flip the midpoint rule gives on every edge below the bound.
+values to the bit.  The chord certificate must cover every edge below the
+bound of the test clouds and give the flip the midpoint rule gives.
 """
 
 import math
@@ -22,15 +22,13 @@ from swbundle.bundle import (
     _edge_flips,
     _flag_graph,
     _point_lines,
-    _projector_certified,
-    _projector_distances,
     _top_eigenvectors,
     checked_index_bound,
 )
 from swbundle.datasets import circle_normal
 from swbundle.simplicial import _flag_edges
 
-from test_bundle import CROSS_CHECK_CLOUDS, STRONG_NON_PROJECTOR_CLOUDS
+from test_bundle import CROSS_CHECK_CLOUDS, SHIFT_ONE_CLOUDS, STRONG_NON_PROJECTOR_CLOUDS
 
 
 def _shifted(cloud, offset=1e3):
@@ -110,16 +108,23 @@ def _midpoint_flips(cloud, u, i, j):
     return np.einsum("ij,ij->i", u[i], mid) * np.einsum("ij,ij->i", mid, u[j]) < 0.0
 
 
-@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS) + sorted(STRONG_NON_PROJECTOR_CLOUDS))
+COVERAGE_CLOUDS = {**EDGE_CLOUDS, **STRONG_NON_PROJECTOR_CLOUDS, **SHIFT_ONE_CLOUDS}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_CLOUDS))
 def test_certified_flips_equal_midpoint_flips(name):
-    cloud = {**CROSS_CHECK_CLOUDS, **STRONG_NON_PROJECTOR_CLOUDS}[name]()
+    # projector payloads, the mildly and strongly perturbed ones and the
+    # ones at shift 1, far from their projectors: the certificate signs
+    # every edge below the bound, torus-8's coarse grid included
+    cloud = COVERAGE_CLOUDS[name]()
     u, gaps, _ = _point_lines(cloud)
     _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
-    certified = _chord_certified(cloud.mats, gaps, i, j)
-    assert certified.any() != (name == "torus-8")  # its grid is too coarse for a short chord
-    flips = _edge_flips(cloud.mats, u, gaps, _projector_distances(cloud.mats, u), i, j)
+    c = np.einsum("ij,ij->i", u[i], u[j])
+    certified = _chord_certified(cloud.mats, gaps, c, i, j)
+    assert certified.size and certified.all()
+    flips = _edge_flips(cloud.mats, u, gaps, i, j)
     assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
-    assert np.array_equal(flips[certified], np.einsum("ij,ij->i", u[i], u[j])[certified] < 0.0)
+    assert np.array_equal(flips, c < 0.0)
 
 
 def _path_flip(A, B, u_a, u_b, steps=256):
@@ -133,64 +138,55 @@ def _path_flip(A, B, u_a, u_b, steps=256):
     return bool(w @ u_b < 0.0)
 
 
+def _spread_pair(rng, m, gap_a, gap_b, ratio):
+    """Matrices A, B of eigen-gaps gap_a and gap_b in random bases, B shifted
+    by a multiple of I (which keeps its line and gap) so that sqrt(2)
+    |A - B|_F = ratio (gap_a + gap_b); None if no shift reaches it."""
+    def draw(gap):
+        Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        return Q @ np.diag([gap, 0.0] + list(-rng.uniform(0.0, 1.0, size=m - 2))) @ Q.T
+
+    A, B = draw(gap_a), draw(gap_b)
+    D = A - B
+    mean = np.trace(D) / m
+    rest = ratio ** 2 * (gap_a + gap_b) ** 2 / 2.0 - np.sum((D - mean * np.eye(m)) ** 2)
+    if rest < 0.0:
+        return None
+    return A, B + (mean + rng.choice([-1.0, 1.0]) * math.sqrt(rest / m)) * np.eye(m)
+
+
 def test_property_chord_certificate_at_its_threshold():
-    # pairs with sqrt(2) |A_i - A_j|_F within 1% of g_i, on both sides of
-    # the threshold: the certified flip, the midpoint flip and the flip
-    # followed along the segment agree
+    # pairs with unequal gaps and sqrt(2) |A_i - A_j|_F within 1% of
+    # g_i + g_j, on both sides of the threshold: the certificate refuses
+    # every pair at or past it, signs every pair clear of its margin, and
+    # a signed pair's flip c < 0 is the flip followed along the segment
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    sides = set()
 
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
-        st.integers(2, 3), st.floats(0.2, 1.0), st.floats(0.99, 1.01), st.integers(0, 2**16),
+        st.integers(2, 4), st.floats(0.2, 1.0), st.floats(0.1, 0.9),
+        st.one_of(st.just(1.0), st.floats(0.99, 1.01)), st.integers(0, 2**16),
     )
-    def check(m, gap, ratio, seed):
-        rng = np.random.default_rng(seed)
-        Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
-        A = Q @ np.diag([1.0] + [1.0 - gap] * (m - 1)) @ Q.T
-        E = rng.normal(size=(m, m))
-        E *= ratio * gap / (SQRT2 * np.linalg.norm(E))
-        B = A + E
-        mats = np.stack([A, B])
+    def check(m, gap, share, ratio, seed):
+        pair = _spread_pair(np.random.default_rng(seed), m, gap, share * gap, ratio)
+        hypothesis.assume(pair is not None)
+        mats = np.stack(pair)
         u, gaps = _top_eigenvectors(mats, "point")
-        # the midpoint rule needs the edge below both points' bounds
-        hypothesis.assume(np.linalg.norm(E) < SQRT2 * min(gaps) * 0.999)
         i, j = np.array([0]), np.array([1])
-        cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
-        flip = bool(_edge_flips(mats, u, gaps, _projector_distances(mats, u), i, j)[0])
-        assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
-        assert flip == _path_flip(A, B, u[0], u[1])
+        c = np.array([u[0] @ u[1]])
+        certified = bool(_chord_certified(mats, gaps, c, i, j)[0])
+        if ratio >= 1.0:
+            assert not certified
+        elif ratio < 1.0 - 1e-5:  # clear of the relative margin CHORD_MARGIN
+            assert certified
+        if certified:
+            assert (c[0] < 0.0) == _path_flip(mats[0], mats[1], u[0], u[1])
+        sides.add(certified)
 
     check()
-
-
-def _rule_masks(cloud):
-    """Which rule signs each edge below the bound: the projector certificate,
-    the chord certificate alone, or a midpoint."""
-    u, gaps, _ = _point_lines(cloud)
-    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
-    c = np.einsum("ij,ij->i", u[i], u[j])
-    projector = _projector_certified(c, _projector_distances(cloud.mats, u), i, j)
-    chord = ~projector & _chord_certified(cloud.mats, gaps, i, j)
-    return projector, chord, ~projector & ~chord
-
-
-@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))
-def test_projector_certificate_covers_cross_check_clouds(name):
-    # projector payloads and the mildly perturbed ones alike
-    projector, _, _ = _rule_masks(CROSS_CHECK_CLOUDS[name]())
-    assert projector.size and projector.all()
-
-
-def test_strong_non_projector_clouds_use_every_rule():
-    # each cloud is signed in part by the projector certificate and in part
-    # by the chord test alone; the midpoint rule signs what is left
-    midpoints = 0
-    for name, make in sorted(STRONG_NON_PROJECTOR_CLOUDS.items()):
-        projector, chord, midpoint = _rule_masks(make())
-        assert projector.any() and chord.any(), name
-        midpoints += int(midpoint.sum())
-    assert midpoints
+    assert sides == {False, True}
 
 
 def _reflected(B, a, b):
@@ -202,26 +198,24 @@ def _reflected(B, a, b):
 
 def _assert_flip_agrees(mats):
     """_edge_flips on the edge 01, the midpoint flip and the flip followed
-    along the segment agree; returns whether the projector certificate
-    signed it."""
+    along the segment agree; returns whether the chord certificate signed
+    it."""
     u, gaps = _top_eigenvectors(mats, "point")
-    dist = _projector_distances(mats, u)
     i, j = np.array([0]), np.array([1])
     cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
-    flip = bool(_edge_flips(mats, u, gaps, dist, i, j)[0])
+    flip = bool(_edge_flips(mats, u, gaps, i, j)[0])
     assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
     assert flip == _path_flip(mats[0], mats[1], u[0], u[1])
-    return bool(_projector_certified(np.array([u[0] @ u[1]]), dist, i, j)[0])
+    return bool(_chord_certified(mats, gaps, np.array([u[0] @ u[1]]), i, j)[0])
 
 
 def test_property_projector_certificate_at_its_threshold():
     # near-projector pairs A_i = u_i u_i' + F_i whose c = u_i . u_j has c^2
-    # within 1% of 2 max(d_i, d_j), on both sides of the threshold and of
-    # either sign, below both points' bounds: the certificate refuses every
-    # pair below the threshold and signs every pair above it and its margins
+    # within 1% of 2 max(d_i, d_j), d_i = |sym(A_i) - u_i u_i'|_F, of either
+    # sign and below both points' bounds: the flip, the midpoint flip and
+    # the flip followed along the segment agree
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    sides = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
@@ -236,7 +230,8 @@ def test_property_projector_certificate_at_its_threshold():
         e = np.eye(m)[0]
         A, B = np.outer(e, e) + F[0], np.outer(e, e) + F[1]
         u, _ = _top_eigenvectors(np.stack([A, B]), "point")
-        dist = _projector_distances(np.stack([A, B]), u)
+        R = np.stack([A, B]) - u[:, :, None] * u[:, None, :]
+        dist = np.linalg.norm(R, axis=(1, 2))
         # turn B so that its line meets A's at the drawn c; the reflection
         # keeps its distance from its projector
         c = sign * math.sqrt(ratio * 2.0 * dist.max())
@@ -246,17 +241,9 @@ def test_property_projector_certificate_at_its_threshold():
         mats = np.stack([A, _reflected(B, u[1], target)])
         _, gaps = _top_eigenvectors(mats, "point")
         hypothesis.assume(np.linalg.norm(mats[0] - mats[1]) < SQRT2 * min(gaps) * 0.999)
-        certified = _assert_flip_agrees(mats)
-        # 1 + 1e-5 clears the relative margin CHORD_MARGIN and, at d >= 0.005,
-        # the absolute GAP_TOLERANCE
-        if ratio < 1.0:
-            assert not certified
-        elif ratio > 1.0 + 1e-5:
-            assert certified
-        sides.add(certified)
+        _assert_flip_agrees(mats)
 
     check()
-    assert sides == {False, True}
 
 
 def test_certificates_refuse_a_pair_the_sign_rule_gets_wrong():
@@ -266,10 +253,10 @@ def test_certificates_refuse_a_pair_the_sign_rule_gets_wrong():
     # to u_i would need t s >= t (w'Ew - u_i'Eu_i) >= g_i + g_M (Courant-
     # Fischer at A_i and at M) and g_M >= g_j - (1 - t) s (Weyl), so s >=
     # g_i + g_j.  So the line never turns orthogonal to u_i, and the
-    # certificates guard the rounding of c, not the rule.  Past the bound
+    # certificate guards the rounding of c, not the rule.  Past the bound
     # the rule can fail: on this m = 3 pair c < 0, yet the top line, whose
-    # gap stays above 0.03 along the segment, arrives as +u_j.  Both
-    # certificates refuse it.
+    # gap stays above 0.03 along the segment, arrives as +u_j.  The chord
+    # certificate refuses it.
     mats = np.array([
         [[0.1, 0.1, -0.1], [0.1, -0.6, -0.3], [-0.1, -0.3, -0.4]],
         [[-0.4, -0.3, 0.1], [-0.3, -0.6, 0.1], [0.1, 0.1, 0.1]],
@@ -279,9 +266,8 @@ def test_certificates_refuse_a_pair_the_sign_rule_gets_wrong():
     c = u[0] @ u[1]
     assert c < -0.1 and not _path_flip(mats[0], mats[1], u[0], u[1])
     spread = np.ptp(np.linalg.eigvalsh(mats[1] - mats[0]))
-    assert spread > gaps.sum() and np.linalg.norm(mats[1] - mats[0]) > SQRT2 * gaps.max()
-    assert not _projector_certified(np.array([c]), _projector_distances(mats, u), i, j)[0]
-    assert not _chord_certified(mats, gaps, i, j)[0]
+    assert spread > gaps.sum()
+    assert not _chord_certified(mats, gaps, np.array([c]), i, j)[0]
 
 
 def test_property_exact_projectors_are_certified():
