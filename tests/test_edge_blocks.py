@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from swbundle import bundle
 from swbundle.bundle import (
     SQRT2,
     LiftedCloud,
@@ -125,6 +126,24 @@ def test_certified_flips_equal_midpoint_flips(name):
     flips = _edge_flips(cloud.mats, u, gaps, i, j)
     assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
     assert np.array_equal(flips, c < 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))
+def test_projector_certificate_covers_cross_check_clouds(name, monkeypatch):
+    # projector payloads and the mildly perturbed ones alike: _edge_flips
+    # signs every edge below the bound from the point eigensolve, with no
+    # midpoint eigensolve
+    cloud = CROSS_CHECK_CLOUDS[name]()
+    u, gaps, _ = _point_lines(cloud)
+    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    assert i.size
+
+    def no_midpoint(*args):
+        raise AssertionError(f"{name}: a midpoint eigensolve")
+
+    monkeypatch.setattr(bundle, "_top_eigenvectors", no_midpoint)
+    flips = _edge_flips(cloud.mats, u, gaps, i, j)
+    assert np.array_equal(flips, np.einsum("ij,ij->i", u[i], u[j]) < 0.0)
 
 
 def _path_flip(A, B, u_a, u_b, steps=256):
