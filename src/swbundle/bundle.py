@@ -22,7 +22,6 @@ filtration's thresholds.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -410,9 +409,15 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     by about (m^2 + 2) eps relative, and the eigensolve's gaps by about
     m eps |A|; the relative margin CHORD_MARGIN covers both while g_i + g_j
     exceeds about 4 m eps |A| / CHORD_MARGIN, near GAP_TOLERANCE at |A| ~ 1.
-    The proof gives c != 0 but no lower bound on |c|, and c is a dot
-    product of eigenvectors each off by about eps |A| / g, so the test also
-    asks c^2 > GAP_TOLERANCE (|c| > 3.2e-5), far above that rounding.
+    In exact arithmetic the test also bounds c: compressed to span(u_i,
+    u_j), sym(A_i) and sym(A_j) keep their top lines u_i and u_j with gaps
+    h_i >= g_i and h_j >= g_j, and the 2 x 2 case gives 2 |A_i - A_j|_F^2
+    >= (h_i + h_j)^2 - 4 h_i h_j c^2 >= (h_i + h_j)^2 (1 - c^2), so c^2 >
+    CHORD_MARGIN / (1 + CHORD_MARGIN).  Past the scale the margin covers,
+    that bound is lost: c is a dot product of eigenvectors each off by
+    about eps |A| / g, and points of gap 1e-8 at eigenvalue 500 pass the
+    chord test with |c| at that rounding.  So the test also asks c^2 >
+    GAP_TOLERANCE (|c| > 3.2e-5), and such an edge goes to the midpoint.
 
     Only the edges the certificate refuses (the long edges: a sliver within
     about 5e-7 relative of the bound, or |c| at most 3.2e-5) have their
@@ -496,25 +501,29 @@ def _check_max_value(max_value: float) -> None:
         raise ValueError(f"max value must be non-negative, got {max_value}")
 
 
-def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: list, max_dim: int) -> Barcode:
+def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
+                  max_dim: int) -> Barcode:
     """rips_barcode of the flag filtration on n vertices whose edges are
-    (iu[r], ju[r]) with values[r], in filtration order as _flag_edges lists
-    them; max_dim is 0 or 1."""
-    ranks = np.arange(len(values))
+    (iu[r], ju[r]) with the float64 values[r], in filtration order as
+    _flag_edges lists them; max_dim is 0 or 1.  The values stay one
+    array; int64 starts at the triangle keys of _h1_bars, whose rank
+    matrix stays int16 or int32."""
+    E = len(values)
     full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
-    if values and full.any():
+    if E and full.any():
+        ranks = np.arange(E)
         last = np.zeros(n, dtype=ranks.dtype)  # a vertex's largest edge is its last one
         np.maximum.at(last, iu, ranks)
         np.maximum.at(last, ju, ranks)
-        E = bisect.bisect_right(values, values[last[full].min()])
+        E = int(np.searchsorted(values, values[last[full].min()], side="right"))
         iu, ju, values = iu[:E], ju[:E], values[:E]
 
-    forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(len(values), dtype=bool))])[1]
-    tree = np.zeros(len(values), dtype=bool)
+    forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(E, dtype=bool))])[1]
+    tree = np.zeros(E, dtype=bool)
     tree[forest] = True
     bars = [(0, 0.0, values[e]) for e in forest if values[e] > 0.0]
     bars += [(0, 0.0, INF)] * (n - len(forest))
-    if max_dim == 1 and values:
+    if max_dim == 1 and E:
         bars += _h1_bars(n, iu, ju, values, tree)
     return Barcode(tuple(bars))
 
@@ -571,22 +580,27 @@ def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
     return None, forest
 
 
-def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndarray) -> list:
+def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
+             tree: np.ndarray) -> list:
     """Degree-1 intervals of the flag filtration whose edges, in filtration
-    order, are (iu[r], ju[r]) with values[r]; tree marks the H0 deaths.
+    order, are (iu[r], ju[r]) with the float64 values[r]; tree marks the H0
+    deaths.
 
     A triangle is keyed by its edge ranks in descending order, packed into
-    one int64, so that key order is a filtration order.  Edge e's column is
-    its coboundary, a sorted key array, and its pivot is its smallest key
-    (its earliest coface).  Columns are reduced from the latest edge to the
-    earliest; tree edges are cleared.  Edge e is apparent when some vertex k
-    has max(R[a, k], R[b, k]) < e: its earliest coface then has e as its
-    latest edge, a zero-length pair that needs no reduction.  A scan records
-    mid[e] = min_k max(R[a, k], R[b, k]) for every other edge, and only
-    that.  A key with ranks (t, m, l) is the first key of coboundary(t),
-    and so an apparent pair's pivot, iff mid[t] == m: rank m fixes the
-    triangle's third vertex.  Only then is coboundary(t) built, to be
-    added; a lookup that finds no column builds nothing.
+    one int64, so that key order is a filtration order.  The rank matrix R
+    stays in the int16 or int32 it is built in, and ranks widen to int64
+    only where keys are formed: in the first keys below and in
+    ``_coface_keys``.  Edge e's column is its coboundary, a sorted key
+    array, and its pivot is its smallest key (its earliest coface).
+    Columns are reduced from the latest edge to the earliest; tree edges
+    are cleared.  Edge e is apparent when some vertex k has max(R[a, k],
+    R[b, k]) < e: its earliest coface then has e as its latest edge, a
+    zero-length pair that needs no reduction.  A scan records mid[e] =
+    min_k max(R[a, k], R[b, k]) for every other edge, and only that.  A
+    key with ranks (t, m, l) is the first key of coboundary(t), and so an
+    apparent pair's pivot, iff mid[t] == m: rank m fixes the triangle's
+    third vertex.  Only then is coboundary(t) built, to be added; a lookup
+    that finds no column builds nothing.
 
     The scan also gives every other column's first key: edge mid[e] shares
     one end with e, and its other end is the third vertex k of the earliest
@@ -623,15 +637,14 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: list, tree: np.ndar
     for start in range(0, todo.size, rows):
         block = todo[start: start + rows]
         mid[block] = np.maximum(R[iu[block]], R[ju[block]]).min(axis=1)
-    R = R.astype(np.int64)  # keys reach (E + 1) ** 3
-    # iu, ju and mid stay arrays: as Python lists they would take tens of bytes per edge
+    # iu, ju, mid and values stay arrays: as Python lists they would take tens of bytes per edge
 
     bars = [(1, values[e], INF) for e in np.flatnonzero(~tree & (mid == E)).tolist()]
     cols = np.flatnonzero(~tree & (ranks < mid) & (mid < E))[::-1]  # latest first
     m = mid[cols]
     a, b, x, y = iu[cols], ju[cols], iu[m], ju[m]
     k = np.where((x == a) | (x == b), y, x)  # edge m is ak or bk: the earliest coface is abk
-    lo = np.minimum(R[a, k], R[b, k])
+    lo = np.minimum(R[a, k], R[b, k]).astype(np.int64)  # keys reach (E + 1) ** 3
     second = np.maximum(lo, cols)
     first = m * E2 + second * E + np.minimum(lo, cols)
     apparent_first = mid[m] == second
@@ -694,9 +707,20 @@ def _coface_keys(ra: np.ndarray, rb: np.ndarray, e, E: int) -> np.ndarray:
     """Keys of the triangles abk of edge e = ab, unsorted, from the rank rows
     ra = R[a] and rb = R[b], one per k.  Where abk is not a triangle, its
     top rank reads E and its key is at least E ** 3, past every triangle's.
-    Stacked rows take a column e of edge ranks."""
+    Stacked rows take a column e of edge ranks.
+
+    The ranks stay in the rows' own dtype (int16 or int32, as R is built);
+    the keys, which reach (E + 1) ** 3, are one int64 array from their top
+    rank on, built in place."""
     hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
-    return np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
+    if isinstance(e, np.ndarray):
+        e = e.astype(hi.dtype)  # edge ranks are below E, which the rows hold
+    keys = np.maximum(hi, e, dtype=np.int64)  # int64 from here: keys reach (E + 1) ** 3
+    keys *= E
+    keys += np.maximum(lo, np.minimum(hi, e, out=hi), out=hi)
+    keys *= E
+    keys += np.minimum(lo, e, out=lo)
+    return keys
 
 
 # a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox

@@ -130,7 +130,7 @@ def _cloud_barcode(cloud, max_value: float, max_dim: int):
     edges that _flag_graph lists: no N x N distance matrix is built."""
     i, j, values = _flag_graph(cloud, max_value)
     order = np.argsort(values, kind="stable")  # filtration order (value, i, j)
-    i, j, values = i[order], j[order], values[order].tolist()  # frees the unsorted arrays
+    i, j, values = i[order], j[order], values[order]  # frees the unsorted arrays
     return _flag_barcode(len(cloud), i, j, values, max_dim)
 
 

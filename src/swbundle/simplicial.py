@@ -174,7 +174,7 @@ def _flag_edges(D: np.ndarray, max_value: float):
 
     Returns (n, i, j, values): the pairs i < j whose value D[i, j] / 2 is at
     most max_value, in filtration order (by value, ties by (i, j)), as two
-    index arrays and a list of values.
+    index arrays and a float64 array of values.
     """
     _check_max_value(max_value)
     D = np.asarray(D, dtype=float)
@@ -194,7 +194,7 @@ def _flag_edges(D: np.ndarray, max_value: float):
     vals = D[iu, ju] / 2.0
     keep = np.nonzero(vals <= max_value)[0]
     order = keep[np.argsort(vals[keep], kind="stable")]
-    return n, iu[order], ju[order], vals[order].tolist()
+    return n, iu[order], ju[order], vals[order]
 
 
 def rips_filtration(
@@ -212,7 +212,7 @@ def rips_filtration(
     """
     n, iu, ju, values = _flag_edges(D, max_value)
     edges = list(zip(iu.tolist(), ju.tolist()))
-    edge_values = dict(zip(edges, values))
+    edge_values = dict(zip(edges, values.tolist()))
     simplices, values = _flag_fill(n, edges, edge_values, max_dim)
     K = SimplicialComplex(simplices, payloads=payloads, _trusted=True)
     return FilteredComplex(K, values, _skip_checks=True)

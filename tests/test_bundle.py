@@ -456,7 +456,6 @@ class TestLifebar:
         edges the chord certificate refuses in each block."""
         u, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
-        values = np.array(values)
         c = np.einsum("ij,ij->i", u[iu], u[ju])
         refused = ~_chord_certified(cloud.mats, gaps, c, iu, ju)
         size, ends = max(len(cloud), 64), [0]

@@ -16,6 +16,7 @@ import pytest
 
 from swbundle import bundle
 from swbundle.bundle import (
+    CHORD_MARGIN,
     SQRT2,
     LiftedCloud,
     _chord_certified,
@@ -27,6 +28,7 @@ from swbundle.bundle import (
     checked_index_bound,
 )
 from swbundle.datasets import circle_normal
+from swbundle.grassmann import MedialAxisError
 from swbundle.simplicial import _flag_edges
 
 from test_bundle import CROSS_CHECK_CLOUDS, SHIFT_ONE_CLOUDS, STRONG_NON_PROJECTOR_CLOUDS
@@ -57,12 +59,12 @@ def _assert_blocks_match(cloud, max_value, first):
     n, iu, ju, values = _flag_edges(cloud.distance_matrix(), max_value)
     assert n == len(cloud)
     blocks = list(_edge_blocks(cloud, max_value, first))
-    if not values:
+    if not values.size:
         assert blocks == []
         return
     i, j, v = (np.concatenate(parts) for parts in zip(*blocks))
     assert np.array_equal(i, iu) and np.array_equal(j, ju)
-    assert v.tolist() == values  # to the bit
+    assert v.tolist() == values.tolist()  # to the bit
     size = first
     for (_, _, block), (_, _, later) in zip(blocks, blocks[1:]):
         assert len(block) >= size  # only the last block may be short
@@ -89,7 +91,7 @@ def test_flag_graph_matches_flag_edges_in_row_major_order(name):
         assert np.all(np.diff(i * n + j) > 0) and np.all(i < j)  # row-major, upper triangle
         row_major = np.lexsort((ju, iu))
         assert np.array_equal(i, iu[row_major]) and np.array_equal(j, ju[row_major])
-        assert got.tolist() == [values[r] for r in row_major.tolist()]  # to the bit
+        assert got.tolist() == values[row_major].tolist()  # to the bit
 
 
 def test_edge_blocks_at_antipodal_near_ties():
@@ -287,6 +289,31 @@ def test_certificates_refuse_a_pair_the_sign_rule_gets_wrong():
     spread = np.ptp(np.linalg.eigvalsh(mats[1] - mats[0]))
     assert spread > gaps.sum()
     assert not _chord_certified(mats, gaps, np.array([c]), i, j)[0]
+
+
+def test_chord_certificate_refuses_c_at_the_rounding():
+    # In exact arithmetic the chord test gives c^2 > CHORD_MARGIN / (1 +
+    # CHORD_MARGIN) (see lifebar).  Points of gap 1e-8 on orthogonal lines
+    # at eigenvalue 500 are far outside the scale the margin covers: the
+    # eigensolve's gaps, off by about eps * 500, let about half of these
+    # rotated pairs pass the chord test with |c| at the rounding, below
+    # 3.2e-5.  The c^2 > GAP_TOLERANCE guard refuses them, and their
+    # midpoint, on the medial axis, is refused in turn.
+    i, j = np.array([0]), np.array([1])
+    passed = 0
+    for t in np.linspace(0.0, math.pi, 64, endpoint=False):
+        Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        mats = np.stack([Q @ np.diag(d) @ Q.T
+                         for d in ([500.0 + 1e-8, 500.0], [500.0, 500.0 + 1e-8])])
+        u, gaps = _top_eigenvectors(mats, "point")
+        c = np.array([u[0] @ u[1]])
+        chord2 = np.sum((mats[0] - mats[1]) ** 2)
+        if 2.0 * (1.0 + CHORD_MARGIN) * chord2 < (gaps[0] + gaps[1]) ** 2 and abs(c[0]) <= 3.2e-5:
+            passed += 1
+            assert not _chord_certified(mats, gaps, c, i, j)[0]
+            with pytest.raises(MedialAxisError, match="edge midpoint 0"):
+                _edge_flips(mats, u, gaps, i, j)
+    assert passed
 
 
 def test_property_exact_projectors_are_certified():

@@ -15,6 +15,9 @@ from swbundle.simplicial import rips_barcode, rips_filtration
 from swbundle.z2 import INF, Barcode, barcode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the barcode of a cloud with more than 2 ** 15 edges, written by the CLI
+# while _h1_bars widened its rank matrix to int64, rounded to 10 decimals
+GOLDEN_TORUS = Path(__file__).resolve().parent / "golden" / "barcode-torus-18.json"
 
 
 def reference(D, max_value, max_dim):
@@ -342,14 +345,72 @@ def test_barcode_flag_references(barcode_flag_clouds, tmp_path, request_):
 
 def assert_matches_stored(intervals, name):
     """intervals against the stored reference barcode of barcode-flag request name."""
+    assert_matches(intervals, json.loads((BENCH / "refs" / "barcodes.json").read_text())[name])
+
+
+def assert_matches(intervals, want):
+    """intervals against stored [dim, birth, death] rows, death None for inf."""
     got = sorted(intervals)
-    want = json.loads((BENCH / "refs" / "barcodes.json").read_text())[name]
     assert len(got) == len(want)
     for (dim, birth, death), (ref_dim, ref_birth, ref_death) in zip(got, sorted(
             (d, b, INF if e is None else e) for d, b, e in want)):
         assert dim == ref_dim
         assert birth == pytest.approx(ref_birth, abs=1e-9)
         assert death == ref_death or death == pytest.approx(ref_death, abs=1e-9)
+
+
+def _int64_coface_keys(ra, rb, e, E):
+    """The key formula of _coface_keys with every operand int64."""
+    ra, rb, e = (np.asarray(x, dtype=np.int64) for x in (ra, rb, e))
+    hi, lo = np.maximum(ra, rb), np.minimum(ra, rb)
+    return np.maximum(hi, e) * (E * E) + np.maximum(lo, np.minimum(hi, e)) * E + np.minimum(lo, e)
+
+
+@pytest.mark.parametrize("E, dtype", [
+    (2 ** 15 - 1, np.int16), (2 ** 15 - 1, np.int32), (2 ** 15, np.int32), (2_097_151, np.int32),
+])
+def test_coface_keys_at_the_dtype_edges(E, dtype):
+    # rank rows in R's narrow dtype: every pair of the ranks 0, 1, E // 2, E - 1
+    # and E (no triangle), with an edge rank as a Python int (one row) and an
+    # int64 column (stacked rows), as _h1_bars passes them.  The keys must
+    # be the all-int64 formula's: under NEP 50 a narrow array times an
+    # out-of-range Python int raises, under value-based casting it wraps.
+    ranks = [0, 1, E // 2, E - 1, E]
+    ra = np.repeat(np.array(ranks, dtype=dtype), len(ranks))
+    rb = np.tile(np.array(ranks, dtype=dtype), len(ranks))
+    edges = [0, 1, E // 2, E - 2, E - 1]
+    for e in edges:
+        keys = bundle._coface_keys(ra.copy(), rb.copy(), e, E)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, _int64_coface_keys(ra, rb, e, E))
+    column = np.array(edges)[:, None]
+    rows_a, rows_b = np.tile(ra, (len(edges), 1)), np.tile(rb, (len(edges), 1))
+    keys = bundle._coface_keys(rows_a, rows_b, column, E)
+    want = _int64_coface_keys(rows_a, rows_b, column, E)
+    assert keys.dtype == np.int64 and np.array_equal(keys, want)
+    assert np.array_equal(keys < E ** 3, (rows_a < E) & (rows_b < E))
+    assert want.max() < (E + 1) ** 3 <= 2 ** 63
+
+
+def test_int32_ranks_match_the_recorded_barcode(tmp_path, monkeypatch):
+    # noisy torus 18x18 keeps 39,495 edges up to the enclosing radius, past
+    # int16's 32,767: R and every coboundary row are int32.  The intervals
+    # must equal the recorded ones (GOLDEN_TORUS)
+    fixture = json.loads(GOLDEN_TORUS.read_text())
+    dtypes = set()
+    coface_keys = bundle._coface_keys
+
+    def recorded_coface_keys(ra, rb, e, E):
+        dtypes.add((ra.dtype, rb.dtype))
+        return coface_keys(ra, rb, e, E)
+
+    monkeypatch.setattr(bundle, "_coface_keys", recorded_coface_keys)
+    cloud, out = tmp_path / "torus.json", tmp_path / "bars.json"
+    assert cli.main(["generate", *fixture["generate"], "--output", str(cloud)]) == 0
+    assert cli.main(["barcode", "--input", str(cloud), *fixture["barcode"],
+                     "--output", str(out)]) == 0
+    assert dtypes == {(np.dtype(np.int32), np.dtype(np.int32))}
+    assert_matches(Barcode.from_json(out.read_text()).intervals, fixture["intervals"])
 
 
 @pytest.mark.parametrize("max_dim", [-1, 2])
