@@ -723,10 +723,13 @@ def _coface_keys(ra: np.ndarray, rb: np.ndarray, e, E: int) -> np.ndarray:
     return keys
 
 
-# a window of more than 2 * WINDOW keys keeps its first WINDOW and sends the rest to the inbox
+# a column's first window width: a window of more than twice its width keeps
+# its first width keys and sends the rest to the inbox
 WINDOW = 512
-# a column makes this many single additions before it adds apparent columns in batches
-SINGLE_ADDS = 32
+# a column makes this many single additions before it adds apparent columns
+# in batches: a batch's stacked build and sort cost more than the few single
+# additions of a short column
+SINGLE_ADDS = 8
 # keys per block of stacked rows of R: one past the allocator's mmap threshold
 # would be mapped and faulted in anew
 BLOCK_KEYS = 1 << 16
@@ -743,7 +746,7 @@ def _reduce_column(col: np.ndarray, lookup, batch):
     the inbox is sorted into one run, and a run is merged into the run
     before it once it is at least half as long, so a key is copied O(log)
     times.  The next window then takes the keys below a new limit, at most
-    WINDOW from each run.  A long column's tail is thus not re-merged at
+    width from each run.  A long column's tail is thus not re-merged at
     each addition, and a column that no later lookup reads is never merged
     in full.
 
@@ -752,15 +755,19 @@ def _reduce_column(col: np.ndarray, lookup, batch):
     the window: batch(win, count) gives the unsorted keys of the first
     count apparent columns, 2, 4, 8, ... at a time, merged in one step.
     Each of those columns starts at its own key, so the pivot still cancels
-    and the next pivot comes later.
+    and the next pivot comes later.  The width starts at WINDOW and doubles,
+    up to BLOCK_KEYS, each time a batch cancels the whole window, so that
+    the next window holds more apparent keys for the next batch rather than
+    forcing a refill after a few.  The cap keeps every window a batch
+    merges with at most 2 BLOCK_KEYS keys long.
     """
     win, runs, inbox, limit = col, [], [], None
-    adds, count = 0, 2
+    adds, count, width = 0, 2, WINDOW
     while True:
-        if win.size > 2 * WINDOW:
-            inbox.append(win[WINDOW:])
-            limit = int(win[WINDOW])
-            win = win[:WINDOW]
+        if win.size > 2 * width:
+            inbox.append(win[width:])
+            limit = int(win[width])
+            win = win[:width]
         elif not win.size:
             if inbox:
                 runs.append(_odd_keys(inbox))
@@ -771,7 +778,7 @@ def _reduce_column(col: np.ndarray, lookup, batch):
             runs = [r for r in runs if r.size]
             if not runs:
                 return None, None
-            limit = min((int(r[WINDOW]) for r in runs if r.size > WINDOW), default=None)
+            limit = min((int(r[width]) for r in runs if r.size > width), default=None)
             cuts = [r.size if limit is None else int(r.searchsorted(limit)) for r in runs]
             win = _odd_keys([r[:c] for r, c in zip(runs, cuts)])
             runs = [r[c:] for r, c in zip(runs, cuts) if c < r.size]
@@ -784,6 +791,8 @@ def _reduce_column(col: np.ndarray, lookup, batch):
                 keys = keys[~far]
             win = _odd_keys([win, keys])
             count *= 2
+            if not win.size:
+                width = min(2 * width, BLOCK_KEYS)
             continue
         pivot = int(win[0])
         other = lookup(pivot)

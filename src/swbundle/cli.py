@@ -113,8 +113,8 @@ def _cloud_command(args, compute, svg, text):
 
 
 def _cmd_barcode(args) -> int:
-    if args.max_edge is not None and not math.isfinite(args.max_edge):
-        raise ValueError(f"--max-edge must be finite, got {args.max_edge}")
+    if args.max_edge is not None and not (math.isfinite(args.max_edge) and args.max_edge >= 0):
+        raise ValueError(f"--max-edge must be finite and non-negative, got {args.max_edge}")
 
     def compute(cloud):
         max_edge = args.max_edge if args.max_edge is not None else checked_index_bound(cloud)

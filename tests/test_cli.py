@@ -180,10 +180,12 @@ class TestBarcodeCommand:
         cloud = tmp_path / "c.json"
         out = tmp_path / "bc.json"
         run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud))
-        assert run("barcode", "--input", str(cloud), "--max-edge", max_edge,
-                   "--output", str(out)) == 2
-        assert "max" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "bc.svg").exists()
+        # refused before --input is read: a missing cloud gets the same message
+        for path in (cloud, tmp_path / "missing.json"):
+            assert run("barcode", "--input", str(path), "--max-edge", max_edge,
+                       "--output", str(out)) == 2
+            assert "--max-edge" in capsys.readouterr().err
+            assert not out.exists() and not (tmp_path / "bc.svg").exists()
 
     @pytest.mark.parametrize("render", ["svg", "text"])
     def test_largest_finite_max_edge_renders(self, tmp_path, render):

@@ -15,9 +15,14 @@ from swbundle.simplicial import rips_barcode, rips_filtration
 from swbundle.z2 import INF, Barcode, barcode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # the barcode of a cloud with more than 2 ** 15 edges, written by the CLI
 # while _h1_bars widened its rank matrix to int64, rounded to 10 decimals
-GOLDEN_TORUS = Path(__file__).resolve().parent / "golden" / "barcode-torus-18.json"
+GOLDEN_TORUS = GOLDEN / "barcode-torus-18.json"
+# clean Mobius-200 at 1.3, written by the CLI while every window stayed
+# WINDOW keys wide, rounded to 10 decimals: its long column's window
+# reaches the BLOCK_KEYS cap
+GOLDEN_MOBIUS = GOLDEN / "barcode-mobius-200.json"
 
 
 def reference(D, max_value, max_dim):
@@ -150,14 +155,16 @@ def fixed_cases():
 
 
 def count_batches(monkeypatch) -> list:
-    """Patch _reduce_column to count the batches of apparent columns it adds."""
+    """Patch _reduce_column to record each batch of apparent columns it adds,
+    as the size of the window the batch is merged with."""
     batches = []
     reduce_column = bundle._reduce_column
 
     def counted(col, lookup, batch):
         def counted_batch(win, count):
             keys = batch(win, count)
-            batches.append(keys is not None)
+            if keys is not None:
+                batches.append(win.size)
             return keys
 
         return reduce_column(col, lookup, counted_batch)
@@ -166,13 +173,18 @@ def count_batches(monkeypatch) -> list:
     return batches
 
 
-@pytest.mark.parametrize("window", [1, 2, 8, 512])
+@pytest.mark.parametrize("window, block_keys", [
+    *(pytest.param(w, None, id=str(w)) for w in (1, 2, 8, 512)),
+    pytest.param(1, 64, id="1-block64"), pytest.param(8, 64, id="8-block64"),
+])
 @pytest.mark.parametrize("single_adds", [0, 1])
-def test_batch_mode(rng, monkeypatch, fixed_cases, single_adds, window):
-    # clouds this small never reach SINGLE_ADDS single additions; with it at
-    # 0 or 1 every apparent pivot starts or soon joins a batch
+def test_batch_mode(rng, monkeypatch, fixed_cases, single_adds, window, block_keys):
+    # the random clouds make at most 4 single additions in a column, short of
+    # SINGLE_ADDS; with it at 0 or 1 every apparent pivot starts or soon joins a batch
     monkeypatch.setattr(bundle, "SINGLE_ADDS", single_adds)
     monkeypatch.setattr(bundle, "WINDOW", window)
+    if block_keys is not None:  # fewer rows per batch, and a window cap the fixed cases reach
+        monkeypatch.setattr(bundle, "BLOCK_KEYS", block_keys)
     batches = count_batches(monkeypatch)
     for kind in ("plain", "rounded", "duplicates"):
         for _ in range(10):
@@ -182,7 +194,10 @@ def test_batch_mode(rng, monkeypatch, fixed_cases, single_adds, window):
         for max_dim in (0, 1):
             got = rips_barcode(D, max_value, max_dim).intervals
             assert got == want[max_dim], (max_value, max_dim)
-    assert any(batches)
+    assert batches
+    # a window doubles each time a batch clears it, but never past BLOCK_KEYS,
+    # and holds at most twice its width when a batch merges with it
+    assert max(batches) <= 2 * bundle.BLOCK_KEYS
 
 
 @pytest.mark.parametrize("cloud", ["klein-8x8", "mobius-40"])
@@ -341,6 +356,29 @@ def test_barcode_flag_references(barcode_flag_clouds, tmp_path, request_):
             *request_.args, "--output", str(out), "--render", "json"]
     assert cli.main(argv) == 0
     assert_matches_stored(Barcode.from_json(out.read_text()).intervals, request_.name)
+
+
+@pytest.mark.parametrize("request_name, most", [
+    ("barcode mobius-100 max-edge 1.3", 12), ("barcode mobius-100 max-edge 1.2", 12),
+    (GOLDEN_MOBIUS.name, 20),
+])
+def test_long_columns_widen(barcode_flag_clouds, tmp_path, monkeypatch, request_name, most):
+    # a batch that clears the whole window doubles it: with every window
+    # WINDOW keys wide these take 23, 24 and 161 batches
+    if request_name == GOLDEN_MOBIUS.name:
+        fixture = json.loads(GOLDEN_MOBIUS.read_text())
+        cloud, args, want = tmp_path / "mobius.json", fixture["barcode"], fixture["intervals"]
+        assert cli.main(["generate", *fixture["generate"], "--output", str(cloud)]) == 0
+    else:
+        request_, = (r for r in BARCODE_FLAG.requests if r.name == request_name)
+        cloud, args = barcode_flag_clouds / f"{request_.cloud}.json", request_.args
+        want = json.loads((BENCH / "refs" / "barcodes.json").read_text())[request_name]
+    batches = count_batches(monkeypatch)
+    out = tmp_path / "out.json"
+    assert cli.main(["barcode", "--input", str(cloud), *args, "--output", str(out),
+                     "--render", "json"]) == 0
+    assert_matches(Barcode.from_json(out.read_text()).intervals, want)
+    assert 0 < len(batches) <= most
 
 
 def assert_matches_stored(intervals, name):
