@@ -10,8 +10,8 @@ approximation, pullback, coboundary test) is projective.sw_class_at; no
 module the CLI imports loads it.
 
 Class decisions run on the flag graph (the 1-skeleton of the flag complex):
-the relative group H^1(K, K^1; Z/2) vanishes, so restricting to the graph is
-injective on H^1 and triangles cannot change a degree-1 answer.
+the lifebar decides the graph's class, the flag complex's class while every
+flag triangle has an even flip count, as below (sqrt(3)/2) * sqrt(2) * t_max.
 
 Scale convention: the class reported at index t is computed on the flag
 complex at scale sqrt(2) * t.  The index set [0, tmax_gamma / sqrt(2)) is
@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -322,27 +323,6 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
     return i[keep], j[keep], values[keep]
 
 
-def _edge_blocks(cloud: LiftedCloud, max_value: float, first: int):
-    """_flag_graph's edges in filtration order (value, i, j), block by block:
-    joined, the blocks are _flag_edges(cloud.distance_matrix(), max_value)
-    to the bit.  A block is ordered only when read: the first holds the
-    `first` smallest values, each later one twice as many as the one before,
-    and every block also takes the values tied with its last."""
-    i, j, values = _flag_graph(cloud, max_value)
-    size = first
-    while values.size:
-        if size < values.size:
-            take = values <= np.partition(values, size - 1)[size - 1]
-            rest = ~take
-            block = i[take], j[take], values[take]
-            i, j, values = i[rest], j[rest], values[rest]
-        else:
-            block, values = (i, j, values), values[:0]
-        order = np.argsort(block[2], kind="stable")
-        yield block[0][order], block[1][order], block[2][order]
-        size *= 2
-
-
 # relative margin of the edge certificate against the rounding of the
 # eigen-gaps and of |A_i - A_j|_F
 CHORD_MARGIN = 1e-6
@@ -361,8 +341,8 @@ def _chord_certified(mats: np.ndarray, gaps: np.ndarray, c: np.ndarray, i: np.nd
 
 def _edge_flips(mats, u, gaps, i, j, first: int = 0) -> np.ndarray:
     """Whether the fiber line flips along each edge ij below the bound: by the
-    chord certificate, else by the midpoint rule (see lifebar).  The
-    midpoints are numbered from first in MedialAxisError."""
+    chord certificate, else by the midpoint rule (see lifebar).  MedialAxisError
+    numbers a midpoint from first, the edges _odd_cycle_sweep read before."""
     c = np.einsum("ij,ij->i", u[i], u[j])
     flips = c < 0.0
     long = np.flatnonzero(~_chord_certified(mats, gaps, c, i, j))
@@ -378,8 +358,8 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
 
     The class at index t is nonzero iff the flag graph at scale sqrt(2) * t
     has a cycle with an odd number of edges along which the fiber line
-    flips.  The edges below scale sqrt(2) * t_max enter _odd_cycle_sweep
-    in filtration order.  If the edge of value v first closes an odd cycle,
+    flips.  _odd_cycle_sweep reads the edges below scale sqrt(2) * t_max in
+    filtration order.  If the edge of value v first closes an odd cycle,
     the class turns nonzero at t*, the smallest double with SQRT2 * t* >= v,
     and t_dagger = nextafter(t*, 0).  resolution is validated, not used.
 
@@ -425,29 +405,21 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     P_j|_F^2 = 2 (1 - c^2)) the test reads c^2 > CHORD_MARGIN / (1 +
     CHORD_MARGIN): every edge with |c| above 1e-3 is certified.
 
-    The edges are listed and ordered lazily (see _edge_blocks), block by
-    block in filtration order, only as far as the sweep reads: the first
-    block has max(n, 64) edges and each later one twice as many, plus ties,
-    so at most about twice the edges up to the closing one plus one block
-    are ordered and signed.  An empty lifebar solves the midpoint of every
-    long edge below the bound.
+    The sweep takes _flag_graph's edges unordered and signs them block by
+    block, only as far as it reads: the first block has the max(n, 64)
+    smallest values and each later one twice as many, plus ties, so at most
+    about twice the edges up to the closing one plus one block are signed.
+    Only the blocks read before the forest spans are sorted.  An empty
+    lifebar solves the midpoint of every long edge below the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, gaps, bound = _point_lines(cloud)
     n = len(cloud)
-    read = []  # the values of the blocks the sweep reads
-
-    def blocks():
-        for i, j, values in _edge_blocks(cloud, math.nextafter(SQRT2 * bound, 0.0), max(n, 64)):
-            first = sum(map(len, read))  # the filtration position of the block's first edge
-            read.append(values)
-            yield i, j, _edge_flips(cloud.mats, u, gaps, i, j, first)
-
-    closing = _odd_cycle_sweep(n, blocks())[0]
-    if closing is None:
+    value = _odd_cycle_sweep(n, *_flag_graph(cloud, math.nextafter(SQRT2 * bound, 0.0)),
+                             max(n, 64), partial(_edge_flips, cloud.mats, u, gaps))[0]
+    if value is None:
         return Lifebar(bound, None, resolution)
-    value = float(np.concatenate(read)[closing])
     t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
     while SQRT2 * t_star < value:
         t_star = math.nextafter(t_star, math.inf)
@@ -518,7 +490,7 @@ def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
         E = int(np.searchsorted(values, values[last[full].min()], side="right"))
         iu, ju, values = iu[:E], ju[:E], values[:E]
 
-    forest = _odd_cycle_sweep(n, [(iu, ju, np.zeros(E, dtype=bool))])[1]
+    forest = _odd_cycle_sweep(n, iu, ju, values, E)[1]
     tree = np.zeros(E, dtype=bool)
     tree[forest] = True
     bars = [(0, 0.0, values[e]) for e in forest if values[e] > 0.0]
@@ -528,16 +500,22 @@ def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
     return Barcode(tuple(bars))
 
 
-def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
+def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, first: int,
+                     sign=None) -> tuple[Optional[float], list]:
     """Kruskal's union-find on n vertices with a Z/2 flip on each edge.
 
-    blocks yields (i, j, flips) arrays, the edges ij in filtration order and
-    whether each flips.  Returns (closing, forest): the position of the
-    first edge that closes a cycle with an odd number of flips (None if
-    none does), and the positions of the spanning-forest edges, the ones
-    before it that join two components.  Once n - 1 merges connect the
-    graph, every vertex has a fixed parity to the one root, and each later
-    edge closes an odd cycle iff its flip differs from its ends' parities.
+    The edges ij with the given values come in any order; filtration order
+    is by value, ties in listed order.  They are read in blocks, the `first`
+    smallest values, then twice as many each time, each block also taking
+    the values tied with its last; sign(i, j, read) gives a block's flips,
+    read the number of edges before it (without sign, none flips).  Returns
+    (value, forest): the value of the first edge that closes a cycle with an
+    odd number of flips (None if none does), and the filtration positions
+    of the edges before it that join two components.  A block is sorted
+    only while this forest has not spanned: once n - 1 merges connect the
+    graph, every vertex has a fixed parity to the one root, and a later
+    edge closes an odd cycle iff its flip differs from its ends' parities,
+    in any order.
     """
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
     size = [1] * n  # a root's component size: the smaller root goes under the larger
@@ -552,31 +530,44 @@ def _odd_cycle_sweep(n: int, blocks) -> tuple[Optional[int], list]:
             a = parent[a]
         return a, odd
 
-    forest, labels, lo = [], None, 0  # labels: each vertex's parity to the root, once connected
-    for bi, bj, flips in blocks:
+    forest, labels, read = [], None, 0  # labels: each vertex's parity to the root, once connected
+    while values.size:
+        if first < values.size:
+            take = values <= np.partition(values, first - 1)[first - 1]
+            rest = ~take
+            bi, bj, bv = i[take], j[take], values[take]
+            i, j, values = i[rest], j[rest], values[rest]
+        else:
+            bi, bj, bv, values = i, j, values, values[:0]
+        if labels is None:
+            order = np.argsort(bv, kind="stable")
+            bi, bj, bv = bi[order], bj[order], bv[order]
+        flips = sign(bi, bj, read) if sign else None
         start = 0
         if labels is None:
-            for e, (i, j, flip) in enumerate(zip(bi.tolist(), bj.tolist(), flips.tolist())):
+            for e, (a, b, flip) in enumerate(
+                    zip(bi.tolist(), bj.tolist(), repeat(0) if flips is None else flips.tolist())):
                 # a root's parity is 0, so a root or a root's child needs no find
-                ri, pi = (parent[i], parity[i]) if parent[parent[i]] == parent[i] else find(i)
-                rj, pj = (parent[j], parity[j]) if parent[parent[j]] == parent[j] else find(j)
-                if ri != rj:
-                    if size[ri] > size[rj]:
-                        ri, rj = rj, ri
-                    parent[ri], parity[ri] = rj, pi ^ pj ^ flip
-                    size[rj] += size[ri]
-                    forest.append(lo + e)
+                ra, pa = (parent[a], parity[a]) if parent[parent[a]] == parent[a] else find(a)
+                rb, pb = (parent[b], parity[b]) if parent[parent[b]] == parent[b] else find(b)
+                if ra != rb:
+                    if size[ra] > size[rb]:
+                        ra, rb = rb, ra
+                    parent[ra], parity[ra] = rb, pa ^ pb ^ flip
+                    size[rb] += size[ra]
+                    forest.append(read + e)
                     if len(forest) == n - 1:
                         labels = np.array([find(v)[1] for v in range(n)], dtype=bool)
                         start = e + 1
                         break
-                elif pi ^ pj ^ flip:
-                    return lo + e, forest
-        if labels is not None:
-            odd = np.flatnonzero(labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:])
-            if odd.size:
-                return lo + start + int(odd[0]), forest
-        lo += len(flips)
+                elif pa ^ pb ^ flip:
+                    return float(bv[e]), forest
+        if labels is not None and flips is not None:
+            odd = labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:]
+            if odd.any():
+                return float(bv[start:][odd].min()), forest
+        read += len(bv)
+        first *= 2
     return None, forest
 
 

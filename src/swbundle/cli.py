@@ -95,15 +95,18 @@ def _cmd_generate(args) -> int:
 def _cloud_command(args, compute, svg, text):
     """Load --input, compute(cloud) -> (result, *data), write result.to_json()
     to --output and svg or text(result, *data) as --render asks; return result.
-    Before the input is read, every path is compared by os.path.abspath (which
-    folds "..", not links): none may be --input, nor the rendering --output."""
+    Before the input is read, every path is compared by os.path.realpath (which
+    folds ".." and follows links): none may be --input, nor the rendering --output."""
     rendering = None if args.render == "json" else Path(
         args.render_output or Path(args.output).with_suffix(_SUFFIXES[args.render]))
-    if rendering is not None and os.path.abspath(rendering) == os.path.abspath(args.output):
+    source, output = os.path.realpath(args.input), os.path.realpath(args.output)
+    rendered = rendering and os.path.realpath(rendering)  # None for --render json
+    if rendered == output:
         raise ValueError(f"the {args.render} rendering {str(rendering)!r} would overwrite "
                          f"--output {args.output!r}: give another --output or --render-output")
-    for what, path in (("--output", args.output), (f"the {args.render} rendering", rendering)):
-        if path is not None and os.path.abspath(path) == os.path.abspath(args.input):
+    for what, path, real in (("--output", args.output, output),
+                             (f"the {args.render} rendering", rendering, rendered)):
+        if real == source:
             raise ValueError(f"{what} {str(path)!r} would overwrite --input {args.input!r}")
     result, *data = compute(datasets.load_cloud(args.input))
     Path(args.output).write_text(result.to_json() + "\n")

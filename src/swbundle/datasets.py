@@ -178,4 +178,8 @@ def save_cloud(cloud: LiftedCloud, path: str) -> None:
 
 def load_cloud(path: str) -> LiftedCloud:
     with open(path) as fh:
-        return LiftedCloud.from_json_obj(json.load(fh))
+        try:  # the decoder recurses once per level of nesting
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path!r} nests its JSON too deeply to decode") from None
+    return LiftedCloud.from_json_obj(obj)

@@ -430,8 +430,10 @@ def sw_class_at(
     The paper's reference decider: builds the flag graph at scale
     sqrt(2) * t, finds a weak simplicial approximation of the Grassmannian
     projection into T, pulls the generator back, and tests it for being a
-    coboundary.  H^1 of the flag complex injects into H^1 of its graph, so
-    the graph decides the class.
+    coboundary.  It decides the class of the graph, which is the flag
+    complex's class wherever every flag triangle has an even flip count, as
+    below (sqrt(3)/2) * sqrt(2) * t_max (see bundle): H^1 of the flag complex
+    injects into H^1 of its graph.
     """
     if T.m != cloud.m:
         raise ValueError("triangulation ambient dimension does not match the cloud")

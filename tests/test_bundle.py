@@ -7,6 +7,7 @@ import pytest
 from swbundle.bundle import (
     LiftedCloud,
     _chord_certified,
+    _edge_flips,
     _point_lines,
     checked_index_bound,
     hausdorff_distance,
@@ -643,9 +644,12 @@ def test_checked_bound_equals_rips_bound():
 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK_CLOUDS))
 def test_graph_decider_matches_two_complex(name):
-    # H^1 of the flag complex injects into H^1 of its graph, so the graph
-    # verdict of sw_class_at must match the paper's pipeline on the
-    # 2-dimensional flag complex at every index
+    # H^1 of the flag complex injects into H^1 of its graph, so where every
+    # flag triangle has an even flip count the graph verdict of sw_class_at
+    # must match the paper's pipeline on the 2-dimensional flag complex: at
+    # every index sampled here, up to 7/8 of the bound, below the first odd
+    # flag triangle of these clouds (0.987 of the top value on klein-16,
+    # none on the others)
     cloud = CROSS_CHECK_CLOUDS[name]()
     T = triangulate_rp(cloud.m)
     D, payloads = cloud.distance_matrix(), cloud.payloads()
@@ -654,6 +658,46 @@ def test_graph_decider_matches_two_complex(name):
         f, Kp, _ = weak_simplicial_approximation(K, T)
         two_complex = not is_coboundary(Kp, pullback_cochain(f, Kp, T.L, T.w1))
         assert sw_class_at(cloud, t, T).nonzero == two_complex, f"t = {t:g}"
+
+
+def _odd_triangle_values(cloud):
+    """The top value sqrt(2) * t_max and the sorted values of the flag
+    triangles below it whose three edge flips (_edge_flips) have an odd sum,
+    by brute force over the triangles."""
+    u, gaps, bound = _point_lines(cloud)
+    top = SQRT2 * bound
+    n, i, j, values = _flag_edges(cloud.distance_matrix(), math.nextafter(top, 0.0))
+    V = np.full((n, n), np.inf)
+    V[i, j] = V[j, i] = values
+    F = np.zeros((n, n), dtype=bool)
+    F[i, j] = F[j, i] = _edge_flips(cloud.mats, u, gaps, i, j)
+    odd = []
+    for a, b in zip(i.tolist(), j.tolist()):  # a < b < k: each triangle once
+        k = np.flatnonzero(np.isfinite(V[a]) & np.isfinite(V[b]))
+        k = k[k > b]
+        value = np.maximum(V[a, b], np.maximum(V[a, k], V[b, k]))
+        odd += value[F[a, b] ^ F[a, k] ^ F[b, k]].tolist()
+    return top, sorted(odd)
+
+
+@pytest.mark.parametrize("make, first_odd", [
+    (lambda: circle_normal(60, 2.0), 1.40206),
+    (lambda: circle_normal(60, 1.0), None),
+    (lambda: add_noise(klein_normal(16, 16), 0.05, 0), 0.65531),
+], ids=["circle-normal-60-gamma-2", "circle-normal-60-gamma-1", "klein-16-noisy"])
+def test_no_odd_flag_triangle_below_the_safe_value(make, first_odd):
+    # the lifebar decides the class of the flag graph; it is the flag
+    # complex's class while every flag triangle is even.  A triangle of
+    # value v lies within its circumradius 2v / sqrt(3) of a vertex, each
+    # vertex at least top from the medial axis, so none below
+    # (sqrt(3)/2) * top is odd.  Nearer the bound some are, on two of the
+    # three lifebar-deep clouds
+    top, odd = _odd_triangle_values(make())
+    assert all(v >= math.sqrt(3.0) / 2.0 * top for v in odd)
+    if first_odd is None:
+        assert odd == []
+    else:
+        assert odd[0] == pytest.approx(first_odd, abs=1e-5)
 
 
 # stronger perturbations of the matrix parts, each with an onset below its bound

@@ -524,6 +524,37 @@ def test_writing_onto_input_exits_2(tmp_path, capsys, command, option, spelling)
 
 
 @pytest.mark.parametrize("command", ["lifebar", "barcode"])
+@pytest.mark.parametrize("option", ["--output", "--render-output"])
+def test_writing_onto_a_link_to_input_exits_2(tmp_path, capsys, command, option):
+    # a link is followed to the file it names: the cloud keeps its bytes
+    cloud, link = tmp_path / "c.json", tmp_path / "link.json"
+    assert run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud)) == 0
+    link.symlink_to(cloud)
+    before = cloud.read_bytes()
+    argv = [command, "--input", str(cloud), "--render", "json", "--output", str(link)]
+    if option == "--render-output":
+        argv[-2:] = ["--output", str(tmp_path / "o.json"), "--render", "text",
+                     "--render-output", str(link)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert "would overwrite --input" in capsys.readouterr().err
+    assert cloud.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "link.json"]
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # the JSON decoder recurses once per level: refused as bad input, not a traceback
+    cloud = tmp_path / "nested.json"
+    cloud.write_text("[" * 200_000)
+    out = tmp_path / "out.json"
+    assert run(command, "--input", str(cloud), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested.json" in err and "too deeply" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
 def test_invalid_json_exits_2(tmp_path, capsys, command):
     cloud = tmp_path / "c.json"
     cloud.write_text('{"n": 1, "m": 2, "gamma": 1.0, "points": [')

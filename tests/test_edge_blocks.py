@@ -1,12 +1,14 @@
-"""The flag graph's edge list, its lazy order and the edge-sign certificates
-against their references.
+"""The flag graph's edge list, the blocks the parity sweep reads it in and
+the edge-sign certificates against their references.
 
 _flag_graph must list the pairs and values of _flag_edges(
-cloud.distance_matrix(), v) in row-major order, and _edge_blocks must list
-the flag filtration's edges exactly as _flag_edges(cloud.distance_matrix(),
-v) does: the same pairs, in the same (value, i, j) order, with the same
-values to the bit.  The chord certificate must cover every edge below the
-bound of the test clouds and give the flip the midpoint rule gives.
+cloud.distance_matrix(), v) in row-major order.  The blocks that
+_odd_cycle_sweep hands its sign must hold the flag filtration's edges:
+until the forest spans, exactly as _flag_edges(cloud.distance_matrix(), v)
+lists them, the same pairs in the same (value, i, j) order; in all, the
+same edges, in blocks that double in size and never split a tie.  The
+chord certificate must cover every edge below the bound of the test clouds
+and give the flip the midpoint rule gives.
 """
 
 import math
@@ -20,9 +22,9 @@ from swbundle.bundle import (
     SQRT2,
     LiftedCloud,
     _chord_certified,
-    _edge_blocks,
     _edge_flips,
     _flag_graph,
+    _odd_cycle_sweep,
     _point_lines,
     _top_eigenvectors,
     checked_index_bound,
@@ -56,19 +58,35 @@ EDGE_CLOUDS = {
 
 
 def _assert_blocks_match(cloud, max_value, first):
+    # the sweep with no edge flipped reads every block; its sign records them
     n, iu, ju, values = _flag_edges(cloud.distance_matrix(), max_value)
     assert n == len(cloud)
-    blocks = list(_edge_blocks(cloud, max_value, first))
+    blocks = []
+
+    def sign(i, j, before):
+        assert before == sum(map(len, blocks))  # the filtration position of the block
+        blocks.append(i * n + j)
+        return np.zeros(len(i), dtype=bool)
+
+    i, j, got = _flag_graph(cloud, max_value)
+    value_of = dict(zip((iu * n + ju).tolist(), values.tolist()))
+    assert dict(zip((i * n + j).tolist(), got.tolist())) == value_of  # to the bit
+    forest = _odd_cycle_sweep(n, i, j, got, first, sign)[1]
     if not values.size:
         assert blocks == []
         return
-    i, j, v = (np.concatenate(parts) for parts in zip(*blocks))
-    assert np.array_equal(i, iu) and np.array_equal(j, ju)
-    assert v.tolist() == values.tolist()  # to the bit
+    # the blocks up to the one where the forest spans (all of them if it never does)
+    spanned = forest[-1] + 1 if len(forest) == n - 1 else values.size
+    ordered = np.concatenate([b for b, lo in zip(blocks, np.cumsum([0, *map(len, blocks)]))
+                              if lo < spanned])
+    assert np.array_equal(ordered, (iu * n + ju)[:ordered.size])  # in order, to the pair
+    joined = np.concatenate(blocks)
+    assert np.array_equal(np.sort(joined), np.sort(iu * n + ju))  # every edge, once
     size = first
-    for (_, _, block), (_, _, later) in zip(blocks, blocks[1:]):
+    for block, later in zip(blocks, blocks[1:]):
         assert len(block) >= size  # only the last block may be short
-        assert block[-1] < later[0]  # ties are never split
+        # ties are never split
+        assert max(map(value_of.get, block.tolist())) < min(map(value_of.get, later.tolist()))
         size *= 2
 
 
