@@ -68,6 +68,8 @@ class LiftedCloud:
             raise ValueError("expected xs of shape (N, n) and mats of shape (N, m, m)")
         if xs.shape[0] != mats.shape[0]:
             raise ValueError("xs and mats must have the same number of points")
+        if not xs.shape[0]:
+            raise ValueError("empty cloud")
         for arr, what in ((xs, "base coordinate x"), (mats, "matrix entry A")):
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim))))
             if bad.size:
@@ -147,7 +149,7 @@ class LiftedCloud:
         points = obj["points"]
         if not isinstance(points, list):
             raise ValueError(f"'points' must be a list, got {type(points).__name__}")
-        if not points:
+        if not points:  # before the stacking, which refuses (0, m, m) for a large m
             raise ValueError("empty cloud")
         try:  # every point at once: "A" rows as given, "v" rows through one line_projectors
             has_A = ["A" in p for p in points]
@@ -580,27 +582,23 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
     A triangle is keyed by its edge ranks in descending order, packed into
     one int64, so that key order is a filtration order.  The rank matrix R
     stays in the int16 or int32 it is built in, and ranks widen to int64
-    only where keys are formed: in the first keys below and in
-    ``_coface_keys``.  Edge e's column is its coboundary, a sorted key
-    array, and its pivot is its smallest key (its earliest coface).
-    Columns are reduced from the latest edge to the earliest; tree edges
-    are cleared.  Edge e is apparent when some vertex k has max(R[a, k],
-    R[b, k]) < e: its earliest coface then has e as its latest edge, a
-    zero-length pair that needs no reduction.  A scan records mid[e] =
-    min_k max(R[a, k], R[b, k]) for every other edge, and only that.  A
-    key with ranks (t, m, l) is the first key of coboundary(t), and so an
+    only where keys are formed, in ``_coface_keys``.  Edge e's column is
+    its coboundary, a sorted key array, and its pivot is its smallest key
+    (its earliest coface).  Columns are reduced from the latest edge to the
+    earliest; tree edges are cleared.  Edge e is apparent when some vertex
+    k has max(R[a, k], R[b, k]) < e: its earliest coface then has e as its
+    latest edge, a zero-length pair that needs no reduction.  A scan
+    records mid[e] = min_k max(R[a, k], R[b, k]) for every other edge, and
+    only that; mid[e] == E leaves the column empty, an infinite bar.  A key
+    with ranks (t, m, l) is the first key of coboundary(t), and so an
     apparent pair's pivot, iff mid[t] == m: rank m fixes the triangle's
     third vertex.  Only then is coboundary(t) built, to be added; a lookup
     that finds no column builds nothing.
 
-    The scan also gives every other column's first key: edge mid[e] shares
-    one end with e, and its other end is the third vertex k of the earliest
-    coface, whose ranks are mid[e], e and min(R[a, k], R[b, k]); mid[e] == E
-    leaves the column empty, an infinite bar.  A first key that is neither
-    apparent nor a stored pivot pairs at once (an emergent pair, in Ripser's
-    terms): the column is stored as its edge and built only when a later
-    lookup reads it.  The columns whose first key is apparent are built
-    BLOCK_KEYS // n at a time, as stacked rows of R like a block of the scan.
+    Every other column is built once, BLOCK_KEYS // n at a time as stacked
+    rows of R like a block of the scan, and reduced only if its first key
+    is apparent or a stored pivot.  Otherwise it pairs at once (an
+    emergent pair, in Ripser's terms) and is stored as built.
 
     A long column adds the coboundaries of many apparent keys of its window
     at once (see ``_reduce_column``), built from at most BLOCK_KEYS // n
@@ -632,13 +630,10 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
 
     bars = [(1, values[e], INF) for e in np.flatnonzero(~tree & (mid == E)).tolist()]
     cols = np.flatnonzero(~tree & (ranks < mid) & (mid < E))[::-1]  # latest first
-    m = mid[cols]
-    a, b, x, y = iu[cols], ju[cols], iu[m], ju[m]
-    k = np.where((x == a) | (x == b), y, x)  # edge m is ak or bk: the earliest coface is abk
-    lo = np.minimum(R[a, k], R[b, k]).astype(np.int64)  # keys reach (E + 1) ** 3
-    second = np.maximum(lo, cols)
-    first = m * E2 + second * E + np.minimum(lo, cols)
-    apparent_first = mid[m] == second
+
+    def apparent(key):
+        """Whether key, an int or an int64 array, is the first key of its top edge's column."""
+        return mid[key // E2] == key // E % E
 
     def coboundary(e: int) -> np.ndarray:
         keys = _coface_keys(R[iu[e]], R[ju[e]], e, E)
@@ -646,48 +641,41 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
         return keys[:keys.searchsorted(E3)]
 
     def initial_columns():
-        """The sorted coboundaries of the columns with an apparent first key, in order."""
-        ahead = cols[apparent_first]
-        for start in range(0, ahead.size, rows):
-            t = ahead[start: start + rows]
+        """The sorted coboundaries of cols, in order."""
+        for start in range(0, cols.size, rows):
+            t = cols[start: start + rows]
             keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
             keys.sort(axis=1)
             sizes = np.count_nonzero(keys < E3, axis=1).tolist()
             yield from (row[:size] for row, size in zip(keys, sizes))
 
-    # pivot -> reduced column, or its (window, runs, inbox) or its unbuilt edge until first read
-    pivots: dict = {}
+    pivots: dict = {}  # pivot -> reduced column, or its (window, runs, inbox) until first read
 
     def lookup(pivot: int):
         col = pivots.get(pivot)
         if col is None:
-            top = pivot // E2
-            return coboundary(top) if mid[top] == pivot // E % E else None
-        if isinstance(col, int):
-            col = pivots[pivot] = coboundary(col)
-        elif isinstance(col, tuple):
+            return coboundary(pivot // E2) if apparent(pivot) else None
+        if isinstance(col, tuple):
             col = pivots[pivot] = _materialise(*col)
         return col
 
     def batch(win: np.ndarray, count: int):
-        pivot = int(win[0])
-        if mid[pivot // E2] != pivot // E % E:
+        if not apparent(win[0]):
             return None
-        top = win // E2
-        t = top[mid[top] == win // E % E][:min(count, rows)]
+        t = win[apparent(win)][:min(count, rows)] // E2
         keys = _coface_keys(R[iu[t]], R[ju[t]], t[:, None], E)
         return keys[keys < E3]
 
-    initial = initial_columns()
-    for e, pivot, apparent in zip(cols.tolist(), first.tolist(), apparent_first.tolist()):
-        if apparent or pivot in pivots:
-            pivot, col = _reduce_column(next(initial) if apparent else coboundary(e), lookup, batch)
+    for e, col in zip(cols.tolist(), initial_columns()):
+        pivot = int(col[0])
+        if apparent(pivot) or pivot in pivots:
+            pivot, col = _reduce_column(col, lookup, batch)
             if pivot is None:
                 bars.append((1, values[e], INF))
                 continue
             pivots[pivot] = col
-        else:  # coboundary(e) is reduced as it stands
-            pivots[pivot] = e
+        else:  # an emergent pair: the column is reduced as built, and a copy frees its block
+            pivots[pivot] = col.copy()
         death = values[pivot // E2]
         if death > values[e]:
             bars.append((1, values[e], death))

@@ -185,9 +185,9 @@ def _flag_edges(D: np.ndarray, max_value: float):
         raise ValueError("distance matrix has non-finite entries")
     if np.any(D < 0):
         raise ValueError("negative distances")
-    if np.max(np.abs(D - D.T)) > 1e-9:
+    if np.max(np.abs(D - D.T), initial=0.0) > 1e-9:
         raise ValueError("distance matrix must be symmetric")
-    if np.max(np.abs(np.diag(D))) > 1e-12:
+    if np.max(np.abs(np.diag(D)), initial=0.0) > 1e-12:
         raise ValueError("distance matrix must have zero diagonal")
 
     iu, ju = np.triu_indices(n, k=1)

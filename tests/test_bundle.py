@@ -79,6 +79,13 @@ class TestLiftedCloud:
         with pytest.raises(ValueError):
             lift_cloud(np.zeros((2, 2)), np.ones((3, 2)), 1.0)
 
+    def test_empty_cloud_refused(self):
+        # the message from_json_obj gives an empty "points" list, not a numpy reshape error
+        with pytest.raises(ValueError, match="empty cloud"):
+            LiftedCloud(np.zeros((0, 2)), np.zeros((0, 2, 2)), 1.0)
+        with pytest.raises(ValueError, match="empty cloud"):
+            lift_cloud(np.zeros((0, 2)), np.zeros((0, 2)), 1.0)
+
     def test_zero_line(self):
         with pytest.raises(ValueError):
             lift_cloud(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)

@@ -62,6 +62,12 @@ def test_single_point():
     assert rips_barcode(D, 1.0).intervals == ((0, 0.0, INF),)
 
 
+def test_no_points():
+    D = np.zeros((0, 0))
+    assert_matches_reference(D, 1.0)
+    assert rips_barcode(D, 1.0).intervals == ()
+
+
 def test_max_value_below_every_edge(rng):
     D = distances(rng.normal(size=(9, 2))) + 1.0
     np.fill_diagonal(D, 0.0)
@@ -300,13 +306,14 @@ def test_scan_pairs_build_only_what_a_lookup_reads(monkeypatch):
     bc, scan, first, single, stacked, read = trace_h1(monkeypatch, D, 1.3)
     assert_matches_stored(bc.intervals, "barcode klein-16-n0.05 max-edge 1.3")
     assert len(first) == 308 and len(scan) == 148
-    for e in scan:  # built once if a later lookup reads it, else never
-        assert single[e] + stacked[e] == (first[e][0] in read)
-    assert 0 < sum(first[e][0] in read for e in scan) < len(scan)
-    # the other columns are built once each: stacked when their first key is
-    # apparent, alone when it is a stored pivot
-    for e in first.keys() - set(scan):
-        assert (single[e], stacked[e]) == ((0, 1) if first[e][1] else (1, 0))
+    # every column is built once, as a stacked row, whether or not it is reduced
+    for e in first:
+        assert (single[e], stacked[e]) == (0, 1)
+    # a scan pair is stored as built: a later lookup that reads it builds nothing
+    read_later = [e for e in scan if first[e][0] in read]
+    assert 0 < len(read_later) < len(scan)
+    for e in read_later:
+        assert single[e] == 0
     assert sum(apparent for _, apparent in first.values()) > 100
 
 
@@ -324,9 +331,12 @@ def test_scan_pairs_read_later_are_built(rng, monkeypatch, fixed_cases, window):
         with monkeypatch.context() as patches:
             bc, scan, first, single, stacked, read = trace_h1(patches, D, max_value)
         assert bc.intervals == want[1]
+        for e in first:
+            assert (single[e], stacked[e]) == (0, 1)
         for e in scan:
-            assert single[e] + stacked[e] == (first[e][0] in read)
-            read_later += first[e][0] in read
+            if first[e][0] in read:
+                assert single[e] == 0
+                read_later += 1
     assert read_later
 
 
