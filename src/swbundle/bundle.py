@@ -78,7 +78,7 @@ class LiftedCloud:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mats", mats)
-        # 8 max |e_i|^2 bounds distance_matrix's squared distances and _flag_graph's screen
+        # 8 max |e_i|^2 bounds twice over each square _flag_graph forms, all <= 4 max |e_i|^2
         with np.errstate(over="ignore"):
             emb = self.embedding()
             if not math.isfinite(8.0 * np.einsum("ij,ij->i", emb, emb).max(initial=0.0)):
@@ -106,13 +106,10 @@ class LiftedCloud:
         return np.concatenate([self.xs, self.mats.reshape(len(self), -1)], axis=1)
 
     def distance_matrix(self) -> np.ndarray:
-        emb = self.embedding()
-        sq = np.sum(emb * emb, axis=1)
-        D2 = sq[:, None] + sq[None, :] - 2.0 * (emb @ emb.T)
-        np.maximum(D2, 0.0, out=D2)
-        D = np.sqrt(D2)
-        D = (D + D.T) / 2.0  # gemm rounding can break exact symmetry
-        np.fill_diagonal(D, 0.0)
+        """|e_i - e_j| for every pair: twice the values of _flag_graph(self, inf)."""
+        i, j, values = _flag_graph(self, math.inf)
+        D = np.zeros((len(self), len(self)))
+        D[i, j] = D[j, i] = 2.0 * values
         return D
 
     def to_json_obj(self) -> dict:
@@ -295,32 +292,31 @@ class Lifebar:
 
 def _flag_graph(cloud: LiftedCloud, max_value: float):
     """The flag filtration's edges of value at most max_value: pairs i < j in
-    row-major order, with the values distance_matrix gives, to the bit.  Its
-    Gram product is the one N x N step of lifebar and of the CLI's barcode;
-    only the pairs that pass a loose screen of the squared distances get
-    exact values."""
+    row-major order, valued |e_i - e_j| / 2 by the direct difference of the
+    embedding's rows, so symmetric and independent of where the cloud sits.
+    A loose screen by the centred embedding's Gram product, the one N x N
+    step of lifebar and of the CLI's barcode, picks the pairs to value."""
     _check_max_value(max_value)
     emb = cloud.embedding()
-    sq = np.sum(emb * emb, axis=1)
-    G = emb @ emb.T
-    # a loose screen of D2 = sq_i + sq_j - 2 G_ij <= screen: a value at most
-    # max_value has min(D2[i, j], D2[j, i]) <= (2 max_value)^2 up to rounding,
-    # D2[i, j] and D2[j, i] differ by the gemm rounding of G, within
-    # (4 k + 8) eps max|emb|^2 for rows of length k, and the screen's own
-    # rounding is within 4 eps max|emb|^2
+    centred = emb - emb.mean(axis=0)
+    sq = np.sum(centred * centred, axis=1)
+    # a loose screen of D2 = sq_i + sq_j - 2 G_ij <= screen on the centred rows
+    # c_i, whose rounding scales with C^2 = max |c_i|^2, not with the offset.
+    # The relative 1e-9 covers a value's own rounding.  Centring moves |c_i -
+    # c_j|^2 off |e_i - e_j|^2 by about 4 eps C^2, sq and G move D2 by 2 k eps
+    # C^2 for rows of length k, and the screen rounds by eps C^2: 8 (k + 2) eps
+    # C^2 covers all three
     eps = np.finfo(float).eps
     with np.errstate(over="ignore"):  # past 1e154 a float64 squares to inf; a float raises
         screen = ((2.0 * np.float64(max_value)) ** 2 * (1.0 + 1e-9)
                   + 8.0 * (emb.shape[1] + 2) * eps * sq.max())
     half, n = sq / 2.0, len(sq)
-    flat = np.flatnonzero(np.add.outer(half, half - screen / 2.0) <= G)  # row-major order
-    i, j = np.divmod(flat, n)
-    upper = i < j
-    flat, i, j = flat[upper], i[upper], j[upper]
-    s = sq[i] + sq[j]  # distance_matrix's D2 and (D + D.T) / 2, at the pairs kept
-    G = G.ravel()
-    a, b = np.maximum(s - 2.0 * G[flat], 0.0), np.maximum(s - 2.0 * G[j * n + i], 0.0)
-    values = (np.sqrt(a) + np.sqrt(b)) / 2.0 / 2.0
+    screened = np.add.outer(half, half - screen / 2.0) <= centred @ centred.T
+    i, j = np.divmod(np.flatnonzero(screened), n)  # row-major order
+    i, j = i[i < j], j[i < j]
+    diff = np.take(emb, i, axis=0)
+    diff -= np.take(emb, j, axis=0)
+    values = np.sqrt(np.einsum("ij,ij->i", diff, diff)) / 2.0
     keep = values <= max_value
     return i[keep], j[keep], values[keep]
 

@@ -92,21 +92,39 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _file_key(path) -> tuple:
+    """What a write to path reaches: (st_dev, st_ino) of its file, or of a file
+    not made yet, its directory's pair and its name.  A dangling link reads as
+    the path it names, and a path through a missing directory, which no write
+    passes, reads folded ("sub/.." goes) as os.path.realpath would fold it."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:  # realpath only for a link: it costs a system call per component
+        path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    try:
+        st = os.stat(os.path.dirname(path) or ".")
+        return st.st_dev, st.st_ino, os.path.basename(path)
+    except OSError:
+        folded = os.path.abspath(path)
+    return (folded,) if folded == path else _file_key(folded)
+
+
 def _cloud_command(args, compute, svg, text):
     """Load --input, compute(cloud) -> (result, *data), write result.to_json()
     to --output and svg or text(result, *data) as --render asks; return result.
-    Before the input is read, every path is compared by os.path.realpath (which
-    folds ".." and follows links): none may be --input, nor the rendering --output."""
+    Before the input is read, _file_key compares the paths through hard and
+    symbolic links: none may be --input, nor the rendering --output."""
     rendering = None if args.render == "json" else Path(
         args.render_output or Path(args.output).with_suffix(_SUFFIXES[args.render]))
-    source, output = os.path.realpath(args.input), os.path.realpath(args.output)
-    rendered = rendering and os.path.realpath(rendering)  # None for --render json
+    source, output = _file_key(args.input), _file_key(args.output)
+    rendered = rendering and _file_key(rendering)  # None for --render json
     if rendered == output:
         raise ValueError(f"the {args.render} rendering {str(rendering)!r} would overwrite "
                          f"--output {args.output!r}: give another --output or --render-output")
-    for what, path, real in (("--output", args.output, output),
-                             (f"the {args.render} rendering", rendering, rendered)):
-        if real == source:
+    for what, path, key in (("--output", args.output, output),
+                            (f"the {args.render} rendering", rendering, rendered)):
+        if key == source:
             raise ValueError(f"{what} {str(path)!r} would overwrite --input {args.input!r}")
     result, *data = compute(datasets.load_cloud(args.input))
     Path(args.output).write_text(result.to_json() + "\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -141,13 +142,15 @@ class TestBarcodeCommand:
         assert (tmp_path / "bc.txt").exists()
 
     def test_barcode_memory_follows_the_edges(self):
-        # noisy Klein 16x16 at 1.3 traces a 2.32 MB peak with the rank matrix
-        # in int16, the edge values as one float64 array and each emergent
-        # column stored as a trimmed copy of its stacked row; the bound leaves
-        # 0.18 MB over it.  Emergent columns kept as views that pin their
-        # blocks read 2.76 MB, an n x n int64 rank matrix 3.71 MB, the values
-        # as a Python list 2.65 MB, and coboundary keys built through
-        # full-size int64 temporaries 3.83 MB
+        # noisy Klein 16x16 at 1.3 traces a 2.36 MB peak in _flag_graph, where
+        # the screened pairs' embedding rows are gathered after the Gram
+        # product is freed (2.97 MB while it stayed alive).  The reduction
+        # peaks at 2.32 MB with the rank matrix in int16, the edge values as
+        # one float64 array and each emergent column stored as a trimmed copy
+        # of its stacked row; the bound leaves 0.14 MB over the two.  Emergent
+        # columns kept as views that pin their blocks read 2.76 MB, an n x n
+        # int64 rank matrix 3.71 MB, the values as a Python list 2.65 MB, and
+        # coboundary keys built through full-size int64 temporaries 3.83 MB
         cloud = add_noise(klein_normal(16, 16), 0.05, seed=0)
         _cloud_barcode(cloud, 1.3, 1)  # first-call allocations are not the barcode's
         tracemalloc.start()
@@ -542,6 +545,51 @@ def test_writing_onto_a_link_to_input_exits_2(tmp_path, capsys, command, option)
     assert "would overwrite --input" in capsys.readouterr().err
     assert cloud.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "link.json"]
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+@pytest.mark.parametrize("option", ["--output", "--render-output"])
+def test_writing_onto_a_hard_link_to_input_exits_2(tmp_path, capsys, command, option):
+    # a hard link is another name for the input's file: refused, nothing written
+    cloud, hard = tmp_path / "c.json", tmp_path / "hard.json"
+    assert run("generate", "--dataset", "mobius", "--count", "20", "--output", str(cloud)) == 0
+    os.link(cloud, hard)
+    before = cloud.read_bytes()
+    argv = [command, "--input", str(cloud), "--render", "json", "--output", str(hard)]
+    if option == "--render-output":
+        argv[-2:] = ["--output", str(tmp_path / "o.json"), "--render", "text",
+                     "--render-output", str(hard)]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite --input" in err and str(cloud) in err and str(hard) in err
+    assert cloud.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "hard.json"]
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_rendering_through_a_linked_directory_onto_output_exits_2(tmp_path, capsys, command):
+    # neither file exists yet: the rendering's directory is a link to --output's
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    out = tmp_path / "real" / "o.json"
+    argv = [command, "--input", str(tmp_path / "missing.json"), "--output", str(out),
+            "--render", "text", "--render-output", str(tmp_path / "link" / "o.json")]
+    assert run(*argv) == 2
+    assert "would overwrite --output" in capsys.readouterr().err
+    assert not any((tmp_path / "real").iterdir())
+
+
+@pytest.mark.parametrize("command", ["lifebar", "barcode"])
+def test_output_as_a_dangling_link_onto_the_rendering_exits_2(tmp_path, capsys, command):
+    # writing --output through the link would make the file the rendering then overwrites
+    (tmp_path / "dangling.json").symlink_to(tmp_path / "o.txt")
+    argv = [command, "--input", str(tmp_path / "missing.json"),
+            "--output", str(tmp_path / "dangling.json"), "--render", "text",
+            "--render-output", str(tmp_path / "o.txt")]
+    assert run(*argv) == 2
+    assert "would overwrite --output" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling.json"]
 
 
 @pytest.mark.parametrize("command", ["lifebar", "barcode"])
