@@ -294,12 +294,14 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
     """The flag filtration's edges of value at most max_value: pairs i < j in
     row-major order, valued |e_i - e_j| / 2 by the direct difference of the
     embedding's rows, so symmetric and independent of where the cloud sits.
-    A loose screen by the centred embedding's Gram product, the one N x N
-    step of lifebar and of the CLI's barcode, picks the pairs to value."""
+    A loose screen by the centred embedding's Gram product, tile by tile of
+    rows, picks the pairs to value, block by block: beside the embedding and
+    the edges kept, no step holds more than max(N, k, BLOCK_KEYS // 8) floats."""
     _check_max_value(max_value)
     emb = cloud.embedding()
     centred = emb - emb.mean(axis=0)
     sq = np.sum(centred * centred, axis=1)
+    half, n, k = sq / 2.0, len(sq), emb.shape[1]
     # a loose screen of D2 = sq_i + sq_j - 2 G_ij <= screen on the centred rows
     # c_i, whose rounding scales with C^2 = max |c_i|^2, not with the offset.
     # The relative 1e-9 covers a value's own rounding.  Centring moves |c_i -
@@ -309,14 +311,24 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
     eps = np.finfo(float).eps
     with np.errstate(over="ignore"):  # past 1e154 a float64 squares to inf; a float raises
         screen = ((2.0 * np.float64(max_value)) ** 2 * (1.0 + 1e-9)
-                  + 8.0 * (emb.shape[1] + 2) * eps * sq.max())
-    half, n = sq / 2.0, len(sq)
-    screened = np.add.outer(half, half - screen / 2.0) <= centred @ centred.T
-    i, j = np.divmod(np.flatnonzero(screened), n)  # row-major order
-    i, j = i[i < j], j[i < j]
-    diff = np.take(emb, i, axis=0)
-    diff -= np.take(emb, j, axis=0)
-    values = np.sqrt(np.einsum("ij,ij->i", diff, diff)) / 2.0
+                  + 8.0 * (k + 2) * eps * sq.max())
+    # one budget of floats for a tile and for a block of pair rows: 64 KB,
+    # under glibc's 128 KiB mmap threshold, so no block is mapped anew
+    budget = BLOCK_KEYS // 8
+    rows, step = max(1, budget // n), max(1, budget // k)
+    i, j = [], []
+    for a in range(0, n, rows):  # pair (a + r, a + 1 + c), above the diagonal if r <= c
+        r, c = np.nonzero(half[a:a + rows, None] + (half[a + 1:] - screen / 2.0)
+                          <= centred[a:a + rows] @ centred[a + 1:].T)  # row-major order
+        i.append(r[c >= r] + a)
+        j.append(c[c >= r] + (a + 1))
+    i, j = np.concatenate(i), np.concatenate(j)
+    values = np.empty(len(i))
+    for s in range(0, len(i), step):
+        diff = np.take(emb, i[s:s + step], axis=0)
+        diff -= np.take(emb, j[s:s + step], axis=0)
+        np.einsum("ij,ij->i", diff, diff, out=values[s:s + step])
+    values = np.sqrt(values, out=values) / 2.0
     keep = values <= max_value
     return i[keep], j[keep], values[keep]
 

@@ -22,8 +22,8 @@ _KINDS = ("circle_normal", "circle_tautological", "torus_normal", "klein_normal"
 
 _FD_STEP = 1e-5  # central-difference step for numerically computed normals
 
-# largest generated cloud: lifebar and barcode form an N x N Gram product,
-# 8 TiB of float64 at this size
+# largest generated cloud: lifebar and barcode screen all N (N - 1) / 2 pairs,
+# 5.5e11 at this size
 MAX_POINTS = 2 ** 20
 
 
@@ -49,7 +49,7 @@ class GeneratorSpec:
         points = self.count * (1 if self.kind.startswith("circle") else self.count2 or self.count)
         if points > MAX_POINTS:
             raise ValueError(f"{points} points requested, more than the cap of {MAX_POINTS} "
-                             "(2**20): lifebar and barcode form an N x N Gram product")
+                             "(2**20): lifebar and barcode screen all N (N - 1) / 2 pairs")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
         if self.seed < 0:  # numpy's own refusal does not name the seed

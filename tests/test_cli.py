@@ -142,12 +142,12 @@ class TestBarcodeCommand:
         assert (tmp_path / "bc.txt").exists()
 
     def test_barcode_memory_follows_the_edges(self):
-        # noisy Klein 16x16 at 1.3 traces a 2.36 MB peak in _flag_graph, where
-        # the screened pairs' embedding rows are gathered after the Gram
-        # product is freed (2.97 MB while it stayed alive).  The reduction
-        # peaks at 2.32 MB with the rank matrix in int16, the edge values as
-        # one float64 array and each emergent column stored as a trimmed copy
-        # of its stacked row; the bound leaves 0.14 MB over the two.  Emergent
+        # noisy Klein 16x16 at 1.3: the bound guards the reduction's 2.32 MB
+        # peak, with the rank matrix in int16, the edge values as one float64
+        # array and each emergent column stored as a trimmed copy of its
+        # stacked row.  _flag_graph's own 0.63 MB peak (row tiles, pair
+        # blocks) is guarded in test_edge_blocks.py; its (pairs x k) gather
+        # of the screened rows once traced 2.36 MB.  Emergent
         # columns kept as views that pin their blocks read 2.76 MB, an n x n
         # int64 rank matrix 3.71 MB, the values as a Python list 2.65 MB, and
         # coboundary keys built through full-size int64 temporaries 3.83 MB

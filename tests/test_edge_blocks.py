@@ -2,7 +2,9 @@
 the edge-sign certificates against their references.
 
 _flag_graph must list the pairs and values of _flag_edges(
-cloud.distance_matrix(), v) in row-major order.  The blocks that
+cloud.distance_matrix(), v) in row-major order, bit for bit those of a
+brute-force listing of every pair, whatever its tiles and blocks, in memory
+that follows the edges it keeps.  The blocks that
 _odd_cycle_sweep hands its sign must hold the flag filtration's edges:
 until the forest spans, exactly as _flag_edges(cloud.distance_matrix(), v)
 lists them, the same pairs in the same (value, i, j) order; in all, the
@@ -12,6 +14,7 @@ and give the flip the midpoint rule gives.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from swbundle.bundle import (
     _top_eigenvectors,
     checked_index_bound,
 )
-from swbundle.datasets import circle_normal
+from swbundle.datasets import add_noise, circle_normal, circle_tautological, klein_normal
 from swbundle.grassmann import MedialAxisError
 from swbundle.simplicial import _flag_edges
 
@@ -110,6 +113,58 @@ def test_flag_graph_matches_flag_edges_in_row_major_order(name):
         row_major = np.lexsort((ju, iu))
         assert np.array_equal(i, iu[row_major]) and np.array_equal(j, ju[row_major])
         assert got.tolist() == values[row_major].tolist()  # to the bit
+
+
+def _brute_force_edges(cloud, max_value):
+    """Every pair i < j in row-major order, valued |e_i - e_j| / 2 by the
+    direct difference of the embedding's rows, kept up to max_value."""
+    emb = cloud.embedding()
+    i, j = np.triu_indices(len(cloud), 1)
+    diff = emb[i] - emb[j]
+    values = np.sqrt(np.einsum("ij,ij->i", diff, diff)) / 2.0
+    keep = values <= max_value
+    return i[keep], j[keep], values[keep]
+
+
+# more points than a tile of the default budget has rows
+TILED_CLOUDS = {
+    "mobius-200-noisy": lambda: add_noise(circle_tautological(200, 1.0), 0.02, 0),
+    "klein-16-noisy-shifted": lambda: _shifted(add_noise(klein_normal(16, 16), 0.05, 0), 1e6),
+    "polygon-100-gamma-2": lambda: circle_normal(100, 2.0),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, bundle.BLOCK_KEYS // 8])
+@pytest.mark.parametrize("name", sorted(TILED_CLOUDS))
+def test_flag_graph_is_exact_across_tiles_and_blocks(name, budget, monkeypatch):
+    # tiles of one row up to many, pair blocks of one pair up to many: the
+    # arrays and their dtypes are the brute-force listing's, to the bit
+    cloud = TILED_CLOUDS[name]()
+    assert len(cloud) > bundle.BLOCK_KEYS // 8 // len(cloud)
+    monkeypatch.setattr(bundle, "BLOCK_KEYS", 8 * budget)
+    lifebar_bound = _max_value(cloud)
+    for v in (0.0, lifebar_bound / 2, lifebar_bound, 1.3, 1e200, 1.79e308):
+        got, want = _flag_graph(cloud, v), _brute_force_edges(cloud, v)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make, max_value, bound_mb", [
+    # 2,751 edges: an N x N screen with its flat index traces 146.2 MB
+    (lambda: add_noise(circle_tautological(3000, 1.0), 0.02, 0), 0.01, 8.0),
+    # 11,314 edges: one (pairs x k) gather of every screened row traces 2.36 MB
+    (lambda: add_noise(klein_normal(16, 16), 0.05, 0), 1.3, 1.6),
+], ids=["mobius-3000-noisy-at-0.01", "klein-16-noisy-at-1.3"])
+def test_flag_graph_memory_follows_the_edges(make, max_value, bound_mb):
+    cloud = make()
+    _flag_graph(cloud, max_value)  # first-call allocations are not the listing's
+    tracemalloc.start()
+    try:
+        _flag_graph(cloud, max_value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_edge_blocks_at_antipodal_near_ties():
