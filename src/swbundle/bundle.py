@@ -329,8 +329,8 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
         diff -= np.take(emb, j[s:s + step], axis=0)
         np.einsum("ij,ij->i", diff, diff, out=values[s:s + step])
     values = np.sqrt(values, out=values) / 2.0
-    keep = values <= max_value
-    return i[keep], j[keep], values[keep]
+    keep = values <= max_value  # nearly always all: the screen is loose by ~1e-9 only
+    return (i, j, values) if keep.all() else (i[keep], j[keep], values[keep])
 
 
 # relative margin of the edge certificate against the rounding of the
@@ -486,19 +486,23 @@ def _check_max_value(max_value: float) -> None:
 def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
                   max_dim: int) -> Barcode:
     """rips_barcode of the flag filtration on n vertices whose edges are
-    (iu[r], ju[r]) with the float64 values[r], in filtration order as
-    _flag_edges lists them; max_dim is 0 or 1.  The values stay one
-    array; int64 starts at the triangle keys of _h1_bars, whose rank
-    matrix stays int16 or int32."""
+    (iu[r], ju[r]) with the float64 values[r], listed in any order; max_dim
+    is 0 or 1.  Before the H0 sweep: a cut at the enclosing radius, which
+    counts the edges kept and copies none; the int64 check of _h1_bars's
+    triangle keys, so a refusal comes before any sort; one stable sort by
+    value (ties as listed), written in place over the front of each array."""
     E = len(values)
     full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
     if E and full.any():
-        ranks = np.arange(E)
-        last = np.zeros(n, dtype=ranks.dtype)  # a vertex's largest edge is its last one
-        np.maximum.at(last, iu, ranks)
-        np.maximum.at(last, ju, ranks)
-        E = int(np.searchsorted(values, values[last[full].min()], side="right"))
-        iu, ju, values = iu[:E], ju[:E], values[:E]
+        top = np.zeros(n)  # each vertex's largest edge value
+        np.maximum.at(top, iu, values)
+        np.maximum.at(top, ju, values)
+        E = int(np.count_nonzero(values <= top[full].min()))
+    if max_dim == 1 and (E + 1) ** 3 > 2 ** 63:  # (E + 1) ** 3 bounds every key _coface_keys computes
+        raise ValueError(f"{E} edges: triangle keys would overflow int64")
+    order = np.argsort(values, kind="stable")[:E]  # the kept edges come first
+    iu, ju, values = [np.take(a, order, out=a[:E]) for a in (iu, ju, values)]
+    del order  # sorted in place: no second copy of the listing outlives the sort
 
     forest = _odd_cycle_sweep(n, iu, ju, values, E)[1]
     tree = np.zeros(E, dtype=bool)
@@ -585,7 +589,7 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
              tree: np.ndarray) -> list:
     """Degree-1 intervals of the flag filtration whose edges, in filtration
     order, are (iu[r], ju[r]) with the float64 values[r]; tree marks the H0
-    deaths.
+    deaths.  _flag_barcode checks that the triangle keys fit an int64.
 
     A triangle is keyed by its edge ranks in descending order, packed into
     one int64, so that key order is a filtration order.  The rank matrix R
@@ -619,8 +623,6 @@ def _h1_bars(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
     batch skips that lookup.
     """
     E = len(values)
-    if (E + 1) ** 3 > 2 ** 63:  # (E + 1) ** 3 bounds every key _coface_keys computes
-        raise ValueError(f"{E} edges: triangle keys would overflow int64")
     E2, E3 = E * E, E ** 3
     ranks = np.arange(E)
     # R[a, b]: the rank of edge ab, E where there is none; int16 holds them

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import datasets, lazy_names
 from .bundle import _flag_barcode, _flag_graph, checked_index_bound, lifebar
 from .render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
@@ -148,11 +146,9 @@ def _cmd_barcode(args) -> int:
 
 def _cloud_barcode(cloud, max_value: float, max_dim: int):
     """rips_barcode(cloud.distance_matrix(), max_value, max_dim), from the
-    edges that _flag_graph lists: no N x N distance matrix is built."""
-    i, j, values = _flag_graph(cloud, max_value)
-    order = np.argsort(values, kind="stable")  # filtration order (value, i, j)
-    i, j, values = i[order], j[order], values[order]  # frees the unsorted arrays
-    return _flag_barcode(len(cloud), i, j, values, max_dim)
+    edges that _flag_graph lists, which _flag_barcode cuts, checks and sorts
+    itself: no N x N distance matrix is built."""
+    return _flag_barcode(len(cloud), *_flag_graph(cloud, max_value), max_dim)
 
 
 def _cmd_lifebar(args) -> int:

@@ -222,16 +222,17 @@ def rips_barcode(D: np.ndarray, max_value: float, max_dim: int = 1) -> Barcode:
     """Barcode in degrees 0..max_dim (at most 1) of the flag filtration of D.
 
     The intervals equal those of ``barcode(rips_filtration(D, max_value, 2),
-    max_dim)``, but no triangle is ever built.  max_value is first capped at
-    the enclosing radius min_i max_j D[i, j] / 2, read off the edge list:
-    the least largest edge value of a vertex of full degree (any other
-    vertex has an edge past max_value).  From there on every flag
-    complex is a cone on the centre i, so every H1 class has died, one H0
-    bar is left, and later edges only add zero-length pairs.  H0 comes from
-    the spanning forest of ``_odd_cycle_sweep``, with no edge flipped.  H1
-    comes from persistent cohomology (de Silva, Morozov & Vejdemo-Johansson,
-    arXiv 1107.5665) in the manner of Ripser (Bauer, arXiv 1908.02518); see
-    ``_h1_bars``.
+    max_dim)``, but no triangle is ever built.  ``_flag_edges`` lists the
+    edges sorted, one of the orders ``_flag_barcode`` takes (it takes any).
+    max_value is first capped at the enclosing radius min_i max_j D[i, j] /
+    2, read off the edge list: the least largest edge value of a vertex of
+    full degree (any other vertex has an edge past max_value).  From there
+    on every flag complex is a cone on the centre i, so every H1 class has
+    died, one H0 bar is left, and later edges only add zero-length pairs.
+    H0 comes from the spanning forest of ``_odd_cycle_sweep``, with no edge
+    flipped.  H1 comes from persistent cohomology (de Silva, Morozov &
+    Vejdemo-Johansson, arXiv 1107.5665) in the manner of Ripser (Bauer,
+    arXiv 1908.02518); see ``_h1_bars``.
     """
     if max_dim not in (0, 1):
         raise ValueError(f"rips_barcode reports degrees 0 and 1 only, got max_dim = {max_dim}")

@@ -154,7 +154,10 @@ def test_flag_graph_is_exact_across_tiles_and_blocks(name, budget, monkeypatch):
     (lambda: add_noise(circle_tautological(3000, 1.0), 0.02, 0), 0.01, 8.0),
     # 11,314 edges: one (pairs x k) gather of every screened row traces 2.36 MB
     (lambda: add_noise(klein_normal(16, 16), 0.05, 0), 1.3, 1.6),
-], ids=["mobius-3000-noisy-at-0.01", "klein-16-noisy-at-1.3"])
+    # 499,500 edges, every pair, 11.4 MB: copying them all although the screen
+    # kept no pair past max_value traced 23.5 MB; the listing alone traces 15.4 MB
+    (lambda: add_noise(circle_tautological(1000, 1.0), 0.02, 0), 1.3, 19.0),
+], ids=["mobius-3000-noisy-at-0.01", "klein-16-noisy-at-1.3", "mobius-1000-noisy-at-1.3"])
 def test_flag_graph_memory_follows_the_edges(make, max_value, bound_mb):
     cloud = make()
     _flag_graph(cloud, max_value)  # first-call allocations are not the listing's

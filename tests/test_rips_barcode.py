@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -108,6 +109,49 @@ def test_enclosing_radius_of_an_asymmetric_matrix():
     D = np.array([[0.0, 1.0 + 2e-12, 2.0], [1.0, 0.0, 1.0 + 1e-12], [2.0, 1.0, 0.0]])
     assert_matches_reference(D, 2.0)
     assert rips_barcode(D, 2.0).intervals == ((0, 0.0, 0.5 + 5e-13), (0, 0.0, 0.5 + 1e-12), (0, 0.0, INF))
+
+
+ORDER_CLOUDS = {
+    "mobius-100": lambda: circle_tautological(100, 1.0),  # many tied values
+    "klein-16-noisy": lambda: add_noise(klein_normal(16, 16), 0.05, 0),
+    "mobius-200-noisy": lambda: add_noise(circle_tautological(200, 1.0), 0.02, 0),
+}
+
+
+@pytest.mark.parametrize("name, max_value", [
+    ("mobius-100", 1.2), ("mobius-100", 1.3), ("mobius-100", None),
+    ("klein-16-noisy", 1.2), ("klein-16-noisy", 1.3), ("klein-16-noisy", None),
+    ("mobius-200-noisy", 1.3),
+])  # None: the index bound
+def test_flag_barcode_takes_the_edges_in_any_order(name, max_value):
+    # _flag_barcode sorts the edges itself: a shuffled listing, its ties in
+    # another order, gives the intervals of _flag_graph's row-major one
+    cloud = ORDER_CLOUDS[name]()
+    if max_value is None:
+        max_value = bundle.checked_index_bound(cloud)
+    listing = bundle._flag_graph(cloud, max_value)
+    shuffle = np.random.default_rng(0).permutation(len(listing[0]))
+    for max_dim in (0, 1):  # each call reorders its arrays in place: pass copies
+        want = bundle._flag_barcode(len(cloud), *(a.copy() for a in listing), max_dim)
+        got = bundle._flag_barcode(len(cloud), *(a[shuffle] for a in listing), max_dim)
+        assert got.intervals == want.intervals, max_dim
+
+
+def test_int64_refusal_comes_before_any_sort():
+    # (E + 1) ** 3 passes 2 ** 63 from E = 2 ** 21 edges on; an argsort of
+    # that many values alone traces 16 MB, so the check must come first
+    E = 2 ** 21
+    iu, ju, values = np.zeros(E, dtype=np.intp), np.ones(E, dtype=np.intp), np.zeros(E)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{E} edges: triangle keys would overflow int64$"):
+            bundle._flag_barcode(2, iu, ju, values, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    # H0 forms no triangle key: the same edges at max_dim 0 are not refused
+    assert bundle._flag_barcode(2, iu, ju, values, 0).intervals == ((0, 0.0, INF),)
 
 
 @pytest.mark.parametrize("window", [1, 2, 8])
