@@ -464,11 +464,11 @@ class Barcode:
         return [(b, e) for (d, b, e) in self.intervals if d == dim]
 
     def to_json(self) -> str:
-        payload = [
-            {"dim": d, "birth": b, "death": (None if e == INF else e)}
-            for (d, b, e) in self.intervals
-        ]
-        return json.dumps(payload)
+        """json.dumps of the bars as {"dim", "birth", "death"}, death None for
+        inf: repr writes a float as json does, but for inf and nan."""
+        bars = ", ".join([f'{{"dim": {d}, "birth": {b!r}, "death": '
+                          f'{"null" if e == INF else repr(e)}}}' for (d, b, e) in self.intervals])
+        return f"[{bars}]".replace("inf", "Infinity").replace("nan", "NaN")
 
     @classmethod
     def from_json(cls, text: str) -> "Barcode":
@@ -490,7 +490,7 @@ def _flag_barcode(n: int, iu: np.ndarray, ju: np.ndarray, values: np.ndarray,
     is 0 or 1.  Before the H0 sweep: a cut at the enclosing radius, which
     counts the edges kept and copies none; the int64 check of _h1_bars's
     triangle keys, so a refusal comes before any sort; one stable sort by
-    value (ties as listed), written in place over the front of each array."""
+    value (ties as listed), in place over the front of each array: the sweep sorts no more."""
     E = len(values)
     full = np.bincount(iu, minlength=n) + np.bincount(ju, minlength=n) == n - 1
     if E and full.any():
@@ -526,10 +526,11 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
     (value, forest): the value of the first edge that closes a cycle with an
     odd number of flips (None if none does), and the filtration positions
     of the edges before it that join two components.  A block is sorted
-    only while this forest has not spanned: once n - 1 merges connect the
-    graph, every vertex has a fixed parity to the one root, and a later
-    edge closes an odd cycle iff its flip differs from its ends' parities,
-    in any order.
+    only while this forest has not spanned, if out of order: once n - 1
+    merges connect the graph, every vertex has a fixed parity to the one
+    root, and a later edge closes an odd cycle iff its flip differs from
+    its ends' parities, in any order.  The loop turns a block into Python
+    ints max(n, 64) edges at a time, then twice as many, as far as it reads.
     """
     parent, parity = list(range(n)), [0] * n  # parity: flips from a vertex to its parent
     size = [1] * n  # a root's component size: the smaller root goes under the larger
@@ -553,14 +554,14 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
             i, j, values = i[rest], j[rest], values[rest]
         else:
             bi, bj, bv, values = i, j, values, values[:0]
-        if labels is None:
+        if labels is None and (bv[1:] < bv[:-1]).any():  # a block in filtration order stays
             order = np.argsort(bv, kind="stable")
             bi, bj, bv = bi[order], bj[order], bv[order]
         flips = sign(bi, bj, read) if sign else None
-        start = 0
-        if labels is None:
-            for e, (a, b, flip) in enumerate(
-                    zip(bi.tolist(), bj.tolist(), repeat(0) if flips is None else flips.tolist())):
+        start, s, t = 0, 0, max(n, 64)  # the edges [s, t) as Python ints, t - s doubling
+        while labels is None and s < bv.size:
+            for e, a, b, flip in zip(range(s, t), bi[s:t].tolist(), bj[s:t].tolist(),
+                                     repeat(0) if flips is None else flips[s:t].tolist()):
                 # a root's parity is 0, so a root or a root's child needs no find
                 ra, pa = (parent[a], parity[a]) if parent[parent[a]] == parent[a] else find(a)
                 rb, pb = (parent[b], parity[b]) if parent[parent[b]] == parent[b] else find(b)
@@ -576,6 +577,7 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
                         break
                 elif pa ^ pb ^ flip:
                     return float(bv[e]), forest
+            s, t = t, 3 * t - 2 * s
         if labels is not None and flips is not None:
             odd = labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:]
             if odd.any():
@@ -806,16 +808,20 @@ def _materialise(win: np.ndarray, runs: list, inbox: list) -> np.ndarray:
 def _odd_keys(parts: list) -> np.ndarray:
     """The keys that occur an odd number of times in all the arrays of parts, sorted."""
     z = np.sort(np.concatenate(parts))
-    start = np.flatnonzero(np.concatenate(([True], z[1:] != z[:-1])))
-    odd = np.diff(np.append(start, z.size)) % 2 == 1
-    return z[start[odd]]
+    new = np.empty(z.size + 1, dtype=bool)  # where each run of equal keys starts, and the end
+    new[0] = new[-1] = True
+    np.not_equal(z[1:], z[:-1], out=new[1:-1])
+    bounds = np.flatnonzero(new)
+    return z[bounds[:-1][np.diff(bounds) % 2 == 1]]
 
 
 def _xor_sorted(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetric difference of two sorted arrays of distinct keys, sorted."""
     z = np.concatenate((x, y))
     z.sort(kind="stable")  # a merge of two sorted runs
-    new = np.concatenate(([True], z[1:] != z[:-1], [True]))
+    new = np.empty(z.size + 1, dtype=bool)  # where each key differs from the last, and the end
+    new[0] = new[-1] = True
+    np.not_equal(z[1:], z[:-1], out=new[1:-1])
     return z[new[1:] & new[:-1]]
 
 

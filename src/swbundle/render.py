@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from .bundle import INF, Barcode, Lifebar
 
 _DIM_COLORS = ("#c0392b", "#27ae60", "#2980b9", "#8e44ad")
@@ -22,10 +24,13 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _axis_tail(values, t_max):
-    finite = [v for v in values if v != INF]
-    right = max(finite + [t_max if t_max is not None else 0.0, 1e-9])
-    return min(right * 1.02, sys.float_info.max)  # the margin, unless it overflows
+def _scaled(bc: Barcode, t_max):
+    """The axis end right, 2% past the largest of t_max and the finite ends,
+    and all bars' (birth, death) as fractions v / right: span * v may overflow."""
+    ends = np.array(bc.intervals, dtype=float).reshape(-1, 3)[:, 1:]
+    right = max(ends.max(initial=1e-9, where=ends != INF), t_max if t_max is not None else 0.0)
+    right = min(float(right) * 1.02, sys.float_info.max)  # the margin, unless it overflows
+    return right, np.minimum(ends, right) / right
 
 
 def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: list) -> str:
@@ -58,26 +63,25 @@ def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: l
 
 def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
     """Bars grouped by dimension; open intervals run to the right edge."""
-    right = _axis_tail([x for (_, b, e) in bc.intervals for x in (b, e)], t_max)
+    right, scaled = _scaled(bc, t_max)
     span = _WIDTH - 2 * _MARGIN
 
     def sx(v: float) -> float:
         return _MARGIN + span * (min(v, right) / right)  # v / right first: span * v may overflow
 
+    x0, x1 = (_MARGIN + span * scaled).T
     height = _MARGIN + _ROW * (len(bc.intervals) + 2)
     body = []
     y = _ROW
-    for (d, b, e) in bc.intervals:
-        color = _DIM_COLORS[d % len(_DIM_COLORS)]
-        x0 = sx(b)
-        x1 = sx(e if e != INF else right)
+    for (d, _, e), start, end, tag in zip(bc.intervals, x0.tolist(),
+                                          np.maximum(x1, x0 + 1).tolist(), (x1 + 4).tolist()):
         body.append(
-            f'<line x1="{_fmt(x0)}" y1="{y}" x2="{_fmt(max(x1, x0 + 1))}" y2="{y}" '
-            f'stroke="{color}" stroke-width="6"/>'
+            f'<line x1="{_fmt(start)}" y1="{y}" x2="{_fmt(end)}" y2="{y}" '
+            f'stroke="{_DIM_COLORS[d % len(_DIM_COLORS)]}" stroke-width="6"/>'
         )
         if e == INF:
             body.append(
-                f'<text x="{_fmt(x1 + 4)}" y="{y + 4}" font-size="9" '
+                f'<text x="{_fmt(tag)}" y="{y + 4}" font-size="9" '
                 f'font-family="monospace">inf</text>'
             )
         y += _ROW
@@ -91,18 +95,15 @@ def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
 
 def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
     """Fixed 80-column rendering, one bar per line."""
-    right = _axis_tail([x for (_, b, e) in bc.intervals for x in (b, e)], t_max)
     label_w = 24
     span = _TEXT_COLUMNS - label_w - 1
+    right, scaled = _scaled(bc, t_max)
     lines = []
-    for (d, b, e) in bc.intervals:
+    for (d, b, e), (c0, c1) in zip(bc.intervals, np.rint(span * scaled).astype(int).tolist()):
         death = "inf" if e == INF else _fmt(e)
         label = f"H{d} [{_fmt(b)}, {death})"[:label_w].ljust(label_w)
-        c0 = int(round(span * (min(b, right) / right)))
-        c1 = int(round(span * (min(e if e != INF else right, right) / right)))
         c1 = max(c1, c0 + 1)
-        bar = " " * c0 + "#" * (c1 - c0)
-        lines.append((label + bar)[:_TEXT_COLUMNS])
+        lines.append((label + " " * c0 + "#" * (c1 - c0))[:_TEXT_COLUMNS])
     lines.append(f"axis: 0 .. {_fmt(right)}")
     return "\n".join(lines) + "\n"
 

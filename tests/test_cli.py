@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from swbundle.render import barcode_svg, barcode_text, lifebar_svg, lifebar_text
 from swbundle.simplicial import rips_barcode
 from swbundle.z2 import INF, Barcode
 
+from test_rips_barcode import EXTREME_ENDS
 from test_sign_transport import TIE, sign_onset
 
 
@@ -711,6 +713,29 @@ class TestRenderers:
         assert barcode_text(bc, 1.0) == (
             "H1 [0.5, 1)".ljust(24) + " " * 27 + "#" * 27 + "\naxis: 0 .. 1.02\n"
         )
+
+    @pytest.mark.parametrize("t_max", [None, 0.0, 1.0, 1e300, 1.7976931348623157e308])
+    def test_bar_positions_match_the_per_bar_formula(self, t_max):
+        # every bar of EXTREME_ENDS in degrees 0 and 1, scaled for all bars at
+        # once: each coordinate and column must be the per-bar formula's
+        bc = Barcode(tuple((d, b, e) for d in (0, 1) for b in EXTREME_ENDS
+                           for e in EXTREME_ENDS if b <= e))
+        finite = [v for (_, b, e) in bc.intervals for v in (b, e) if v != INF]
+        right = max(finite + [t_max if t_max is not None else 0.0, 1e-9])
+        right = min(right * 1.02, sys.float_info.max)
+        fractions = [(min(b, right) / right, min(e, right) / right) for (_, b, e) in bc.intervals]
+        svg = barcode_svg(bc, t_max)
+        bars = re.findall(r'<line x1="([^"]*)" y1="\d+" x2="([^"]*)" y2="\d+" stroke="#', svg)
+        want = [(48 + 544 * fb, 48 + 544 * fe) for fb, fe in fractions]
+        assert bars == [(format(x0, ".6g"), format(max(x1, x0 + 1), ".6g")) for x0, x1 in want]
+        labels = re.findall(r'<text x="([^"]*)" y="\d+" font-size="9" [^>]*>inf<', svg)
+        assert labels == [format(x1 + 4, ".6g") for (_, _, e), (_, x1) in zip(bc.intervals, want)
+                          if e == INF]
+        lines = barcode_text(bc, t_max).splitlines()
+        assert lines[-1] == f"axis: 0 .. {format(right, '.6g')}"
+        for line, (fb, fe) in zip(lines, fractions):
+            c0 = int(round(55 * fb))
+            assert line[24:] == " " * c0 + "#" * (max(int(round(55 * fe)), c0 + 1) - c0)
 
     def test_lifebar_renderings(self):
         lb = Lifebar(0.5, 0.25, 0.02, ())

@@ -484,6 +484,50 @@ def test_coface_keys_at_the_dtype_edges(E, dtype):
     assert want.max() < (E + 1) ** 3 <= 2 ** 63
 
 
+def odd_counted(*parts):
+    """The keys that occur an odd number of times in parts, sorted, by a Counter."""
+    counts = Counter(k for part in parts for k in np.asarray(part).tolist())
+    return sorted(k for k, c in counts.items() if c % 2)
+
+
+def assert_merges(x, y, parts):
+    """_xor_sorted(x, y) and _odd_keys(parts) against odd_counted, as int64 arrays."""
+    got = bundle._xor_sorted(x, y)
+    assert got.dtype == np.int64 and got.tolist() == odd_counted(x, y)
+    got = bundle._odd_keys(parts)
+    assert got.dtype == np.int64 and got.tolist() == odd_counted(*parts)
+
+
+def test_merge_masks_at_the_ends():
+    # empty inputs, one key, keys that all cancel, and cancellation at either end
+    empty, one = np.array([], dtype=np.int64), np.array([7], dtype=np.int64)
+    keys = np.array([1, 4, 9, 16], dtype=np.int64)
+    for x, y in ((empty, empty), (one, empty), (empty, one), (one, one), (keys, keys),
+                 (keys, keys[:1]), (keys, keys[-1:]), (keys[1:-1], keys), (one, keys)):
+        assert_merges(x, y, [x, y])
+    for parts in ([empty], [one], [one, one, one], [keys, keys, keys[::-1], keys[::-1]]):
+        assert_merges(empty, empty, parts)
+
+
+def test_merge_masks_match_a_counter():
+    # _xor_sorted on random sorted distinct arrays (small keys make them
+    # share keys); _odd_keys on 1 to 4 unsorted parts, whose small keys
+    # repeat within a part and across parts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    keys = st.integers(-2 ** 62, 2 ** 62) | st.integers(0, 20)  # small keys repeat often
+    distinct = st.sets(keys, max_size=40).map(lambda ks: np.array(sorted(ks), dtype=np.int64))
+    parts = st.lists(st.lists(keys, max_size=30).map(lambda ks: np.array(ks, dtype=np.int64)),
+                     min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(distinct, distinct, parts)
+    def check(x, y, parts):
+        assert_merges(x, y, parts)
+
+    check()
+
+
 def test_int32_ranks_match_the_recorded_barcode(tmp_path, monkeypatch):
     # noisy torus 18x18 keeps 39,495 edges up to the enclosing radius, past
     # int16's 32,767: R and every coboundary row are int32.  The intervals
@@ -556,3 +600,20 @@ def test_barcode_stores_its_intervals_sorted():
     assert [(r["dim"], r["birth"], INF if r["death"] is None else r["death"])
             for r in rows] == list(want)
     assert Barcode.from_json(json.dumps(rows[::-1])).intervals == want
+
+
+# ends of every size a float takes: zero, the least subnormal, a decimal
+# that repr rounds, past 2 ** 53, near and at the largest float, and inf
+EXTREME_ENDS = (0.0, 5e-324, 0.1, 1e16, 1e300, 1.7976931348623157e308, INF)
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    # every bar (birth <= death) of EXTREME_ENDS in degrees 0 and 1, alone
+    # and all together: the text json.dumps made of the dict payload, an
+    # inf death as null and an inf birth as Infinity
+    bars = [(d, b, e) for d in (0, 1) for b in EXTREME_ENDS for e in EXTREME_ENDS if b <= e]
+    for bc in [Barcode(tuple(bars)), Barcode(())] + [Barcode((bar,)) for bar in bars]:
+        want = json.dumps([{"dim": d, "birth": b, "death": None if e == INF else e}
+                           for (d, b, e) in bc.intervals])
+        assert bc.to_json() == want
+        assert Barcode.from_json(bc.to_json()) == bc
