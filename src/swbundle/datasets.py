@@ -41,8 +41,10 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {_KINDS}")
-        if self.count < 3 or (self.count2 is not None and self.count2 < 3):
-            raise ValueError("counts must be at least 3")
+        for k in (self.count,) if self.count2 is None else (self.count, self.count2):
+            if not isinstance(k, (int, np.integer)) or k < 3:
+                raise ValueError("counts must be at least 3" if k < 3
+                                 else f"count {k!r} is not an integer")
         if self.count2 is not None and self.kind.startswith("circle"):
             raise ValueError(f"{self.kind} takes one count; a second count (grid columns) "
                              "is for the torus and Klein surfaces")
@@ -72,8 +74,9 @@ def generate(spec: GeneratorSpec) -> LiftedCloud:
 
 
 def _circle(k: int, gamma: float, half_speed: bool) -> LiftedCloud:
-    if k < 3:
-        raise ValueError("need at least 3 points on the circle")
+    if not isinstance(k, (int, np.integer)) or k < 3:
+        raise ValueError("need at least 3 points on the circle" if k < 3
+                         else f"circle count {k!r} is not an integer")
     theta = 2.0 * np.pi * np.arange(k) / k
     xs = np.column_stack([np.cos(theta), np.sin(theta)])
     ang = theta / 2.0 if half_speed else theta
@@ -97,8 +100,10 @@ def circle_tautological(k: int, gamma: float = 1.0) -> LiftedCloud:
 
 def _grid(k_u: int, k_v: int) -> tuple:
     """Parameters (u, v) of a k_u x k_v grid on the square [0, 2 pi)^2, v fastest."""
-    if k_u < 3 or k_v < 3:
-        raise ValueError("grid counts must be at least 3")
+    for k in (k_u, k_v):
+        if not isinstance(k, (int, np.integer)) or k < 3:  # steps of 2 pi / 4.5 do not close
+            raise ValueError("grid counts must be at least 3" if k < 3
+                             else f"grid count {k!r} is not an integer")
     u, v = np.meshgrid(2.0 * np.pi * np.arange(k_u) / k_u, 2.0 * np.pi * np.arange(k_v) / k_v,
                        indexing="ij")
     return u.ravel(), v.ravel()

@@ -79,22 +79,13 @@ def jacobi_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0)),
                 )
                 t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                Ap = A[:, p, :].copy()
-                Aq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * Ap - s[:, None] * Aq
-                A[:, q, :] = s[:, None] * Ap + c[:, None] * Aq
-                Ap = A[:, :, p].copy()
-                Aq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * Ap - s[:, None] * Aq
-                A[:, :, q] = s[:, None] * Ap + c[:, None] * Aq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-                Op = O[:, :, p].copy()
-                Oq = O[:, :, q].copy()
-                O[:, :, p] = c[:, None] * Op - s[:, None] * Oq
-                O[:, :, q] = s[:, None] * Op + c[:, None] * Oq
+                c = (1.0 / np.sqrt(t * t + 1.0))[:, None]
+                s = t[:, None] * c
+                for M in (A.transpose(0, 2, 1), A, O):  # A's rows, A's columns, then O's
+                    Mp, Mq = M[:, :, p].copy(), M[:, :, q].copy()
+                    M[:, :, p] = c * Mp - s * Mq
+                    M[:, :, q] = s * Mp + c * Mq
+                A[:, p, q] = A[:, q, p] = 0.0
     vals = np.diagonal(A, axis1=1, axis2=2).copy()
     order = np.argsort(-vals, axis=1, kind="stable")
     vals_sorted = np.take_along_axis(vals, order, axis=1)

@@ -33,9 +33,11 @@ def _scaled(bc: Barcode, t_max):
     return right, np.minimum(ends, right) / right
 
 
-def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: list) -> str:
+def _svg(height: int, defs, body: list, axis_y: int, right: float, labels: list) -> str:
     """An SVG document: the defs, a white background, the body, an axis at
-    axis_y with five ticks over [0, right] placed by sx, then the labels."""
+    axis_y with five ticks over [0, right] (all at its left end when right is
+    0), then the labels."""
+    span = _WIDTH - 2 * _MARGIN
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}">',
@@ -46,15 +48,14 @@ def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: l
         f'stroke="black" stroke-width="1"/>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = right * frac
-        x = sx(v)
+        x = _fmt(_MARGIN + span * frac if right else _MARGIN)
         out.append(
-            f'<line x1="{_fmt(x)}" y1="{axis_y}" x2="{_fmt(x)}" y2="{axis_y + 4}" '
+            f'<line x1="{x}" y1="{axis_y}" x2="{x}" y2="{axis_y + 4}" '
             f'stroke="black" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(x)}" y="{axis_y + 14}" font-size="9" text-anchor="middle" '
-            f'font-family="monospace">{_fmt(v)}</text>'
+            f'<text x="{x}" y="{axis_y + 14}" font-size="9" text-anchor="middle" '
+            f'font-family="monospace">{_fmt(right * frac)}</text>'
         )
     out += labels
     out.append("</svg>")
@@ -64,12 +65,7 @@ def _svg(height: int, defs, body: list, axis_y: int, right: float, sx, labels: l
 def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
     """Bars grouped by dimension; open intervals run to the right edge."""
     right, scaled = _scaled(bc, t_max)
-    span = _WIDTH - 2 * _MARGIN
-
-    def sx(v: float) -> float:
-        return _MARGIN + span * (min(v, right) / right)  # v / right first: span * v may overflow
-
-    x0, x1 = (_MARGIN + span * scaled).T
+    x0, x1 = (_MARGIN + (_WIDTH - 2 * _MARGIN) * scaled).T
     height = _MARGIN + _ROW * (len(bc.intervals) + 2)
     body = []
     y = _ROW
@@ -90,7 +86,7 @@ def barcode_svg(bc: Barcode, t_max: float | None = None) -> str:
         f'font-family="monospace" fill="{_DIM_COLORS[d % len(_DIM_COLORS)]}">H{d}</text>'
         for i, d in enumerate(dict.fromkeys(d for (d, _, _) in bc.intervals))
     ]
-    return _svg(height, (), body, y + _ROW, right, sx, legend)
+    return _svg(height, (), body, y + _ROW, right, legend)
 
 
 def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
@@ -108,17 +104,18 @@ def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lifebar_cut(lb: Lifebar, span: int) -> tuple:
+    """The caption, and where along span the zero part ends: span * cut / t_max,
+    or all of span at a zero bound."""
+    caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"
+    cut = lb.t_max if lb.empty else lb.t_dagger
+    return caption, span * cut / lb.t_max if lb.t_max > 0 else span
+
+
 def lifebar_svg(lb: Lifebar) -> str:
     """One bar over [0, t_max): hatched where the class is zero, solid after."""
-    span = _WIDTH - 2 * _MARGIN
-    height = 72
-
-    def sx(v: float) -> float:
-        return _MARGIN + span * v / lb.t_max if lb.t_max > 0 else _MARGIN
-
-    cut = lb.t_max if lb.empty else lb.t_dagger
-    # at a zero bound the zero part fills the bar, as lifebar_text draws it
-    x_cut = sx(cut) if lb.t_max > 0 else _WIDTH - _MARGIN
+    caption, x_cut = _lifebar_cut(lb, _WIDTH - 2 * _MARGIN)
+    x_cut += _MARGIN
     defs = (
         "<defs>",
         '<pattern id="hatch" width="6" height="6" patternTransform="rotate(45)" '
@@ -128,28 +125,25 @@ def lifebar_svg(lb: Lifebar) -> str:
         "</defs>",
     )
     body = [
-        f'<rect x="{_fmt(sx(0.0))}" y="16" width="{_fmt(x_cut - sx(0.0))}" height="16" '
+        f'<rect x="{_MARGIN}" y="16" width="{_fmt(x_cut - _MARGIN)}" height="16" '
         f'fill="url(#hatch)" stroke="#555" stroke-width="0.5"/>',
     ]
     if not lb.empty:
         body.append(
-            f'<rect x="{_fmt(x_cut)}" y="16" width="{_fmt(sx(lb.t_max) - x_cut)}" '
+            f'<rect x="{_fmt(x_cut)}" y="16" width="{_fmt(_WIDTH - _MARGIN - x_cut)}" '
             f'height="16" fill="#1a1a1a"/>'
         )
-    caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"
     label = (
         f'<text x="{_MARGIN}" y="10" font-size="10" font-family="monospace">'
         f"lifebar: {caption} (resolution {_fmt(lb.resolution)})</text>"
     )
-    return _svg(height, defs, body, 48, lb.t_max, sx, [label])
+    return _svg(72, defs, body, 48, lb.t_max, [label])
 
 
 def lifebar_text(lb: Lifebar) -> str:
     """Fixed 80-column lifebar: '/' marks the zero part, '#' the nonzero part."""
     span = _TEXT_COLUMNS - 1
-    cut = lb.t_max if lb.empty else lb.t_dagger
-    c = int(round(span * cut / lb.t_max)) if lb.t_max > 0 else span
-    c = min(max(c, 0), span)
+    caption, c = _lifebar_cut(lb, span)
+    c = min(max(int(round(c)), 0), span)
     bar = "/" * c + "#" * (span - c)
-    caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"
     return f"{bar}\nlifebar: {caption} on [0, {_fmt(lb.t_max)}), resolution {_fmt(lb.resolution)}\n"

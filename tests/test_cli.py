@@ -691,6 +691,10 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, target, d
     assert not out.exists()
 
 
+# an axis tick: a vertical line, so x1 == x2
+TICK = r'<line x1="([^"]*)" y1="\d+" x2="\1" y2="\d+" stroke="black"'
+
+
 class TestRenderers:
     @pytest.mark.parametrize("name, render", [
         ("barcode.svg", lambda: barcode_svg(
@@ -731,11 +735,33 @@ class TestRenderers:
         labels = re.findall(r'<text x="([^"]*)" y="\d+" font-size="9" [^>]*>inf<', svg)
         assert labels == [format(x1 + 4, ".6g") for (_, _, e), (_, x1) in zip(bc.intervals, want)
                           if e == INF]
+        assert re.findall(TICK, svg) == ["48", "184", "320", "456", "592"]
         lines = barcode_text(bc, t_max).splitlines()
         assert lines[-1] == f"axis: 0 .. {format(right, '.6g')}"
         for line, (fb, fe) in zip(lines, fractions):
             c0 = int(round(55 * fb))
             assert line[24:] == " " * c0 + "#" * (max(int(round(55 * fe)), c0 + 1) - c0)
+
+    @pytest.mark.parametrize("t_max, t_dagger", [
+        (0.5, 0.25), (0.5, None), (1e-300, 3e-301), (1e300, 1e299), (1.0, 0.0), (0.0, None),
+        (1e-321, 5e-322)])
+    def test_lifebar_cut_matches_the_formula(self, t_max, t_dagger):
+        # the zero part ends at span * cut / t_max (span 544 in the SVG, 79 in
+        # the text), or fills the bar at a zero bound; the ticks sit at their
+        # fractions of the axis even where t_max * 0.75 rounds (a subnormal t_max)
+        lb = Lifebar(t_max, t_dagger, 0.02, ())
+        cut = t_max if t_dagger is None else t_dagger
+        svg = lifebar_svg(lb)
+        x = 48 + (544 * cut / t_max if t_max > 0 else 544)
+        assert re.findall(r'<rect x="48" y="16" width="([^"]*)" height="16" fill="url', svg) == [
+            format(x - 48, ".6g")]
+        solid = re.findall(r'<rect x="([^"]*)" y="16" width="([^"]*)" height="16" fill="#', svg)
+        assert solid == ([] if t_dagger is None else [(format(x, ".6g"), format(592 - x, ".6g"))])
+        assert re.findall(TICK, svg) == (["48", "184", "320", "456", "592"] if t_max > 0
+                                         else ["48"] * 5)
+        bar = lifebar_text(lb).splitlines()[0]
+        c = int(round(79 * cut / t_max)) if t_max > 0 else 79
+        assert len(bar) == 79 and bar.count("/") == c and bar == "/" * c + "#" * (79 - c)
 
     def test_lifebar_renderings(self):
         lb = Lifebar(0.5, 0.25, 0.02, ())

@@ -56,6 +56,9 @@ class TestCircleGenerators:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             circle_normal(2, 1.0)
+        with pytest.raises(ValueError, match="circle count 10.5 is not an integer"):
+            circle_tautological(10.5)
+        assert len(circle_normal(np.int64(10))) == 10
         for kind in ("circle_normal", "circle_tautological"):
             with pytest.raises(ValueError, match=f"{kind} takes one count"):
                 GeneratorSpec(kind, 10, count2=5)
@@ -124,6 +127,12 @@ class TestSurfaceGenerators:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             torus_normal(2, 5, 1.0)
+        # steps of 2 pi / 4.5 do not close the grid around the torus
+        with pytest.raises(ValueError, match="grid count 4.5 is not an integer"):
+            torus_normal(4.5, 4)
+        with pytest.raises(ValueError, match="grid count 4.5 is not an integer"):
+            klein_normal(4, 4.5)
+        assert len(torus_normal(np.int64(4), 5)) == 20
 
 
 class TestTangentLift:
@@ -196,6 +205,21 @@ class TestGenerateDispatch:
             GeneratorSpec("circle_normal", 10, noise=-0.1)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             GeneratorSpec("circle_normal", 10, noise=0.1, seed=-1)
+
+    @pytest.mark.parametrize("kind, count, count2, message", [
+        ("circle_normal", 10.5, None, "count 10.5 is not an integer"),
+        ("torus_normal", 4.5, 4, "count 4.5 is not an integer"),
+        ("klein_normal", 4, 4.5, "count 4.5 is not an integer"),
+        ("torus_normal", 4, 2, "counts must be at least 3"),
+        ("circle_normal", 2.5, None, "counts must be at least 3"),
+    ])
+    def test_counts_must_be_integers_of_at_least_3(self, kind, count, count2, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(kind, count, count2=count2)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert len(generate(GeneratorSpec("circle_normal", np.int64(10)))) == 10
+        assert len(generate(GeneratorSpec("torus_normal", np.int64(4), count2=np.int32(5)))) == 20
 
     def test_dispatch_and_noise(self):
         spec = GeneratorSpec("circle_tautological", 12, noise=0.02, seed=9)
