@@ -10,9 +10,9 @@ The production modules are cli, datasets, render, bundle and grassmann; the
 reference modules simplicial, z2 and projective hold the paper's decider and
 the test oracles.  Every name below loads its module on first use, so
 ``from swbundle import cli`` loads no reference module.  _EXPORTS is the one
-record of where each name lives: cli, bundle and grassmann resolve the names
-they do not define through it too, so the old import paths of the helpers
-moved to projective, and the names the benchmark tracer patches, still work.
+record of where each name lives: cli and bundle resolve the names they do not
+define through it too, for the benchmark tracer, which patches names there
+that they never call.
 """
 
 import importlib

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from typing import Optional
@@ -263,13 +263,12 @@ class Lifebar:
 
     t_dagger is None for an empty lifebar, else the largest index (a double)
     with a zero class: the class is nonzero from the next double to t_max.
-    evaluations (empty) and resolution (unused) stay for the JSON schema.
+    resolution (unused) and the JSON's empty "evaluations" stay for its schema.
     """
 
     t_max: float
     t_dagger: Optional[float]
     resolution: float
-    evaluations: tuple = field(default_factory=tuple)
 
     @property
     def empty(self) -> bool:
@@ -280,9 +279,7 @@ class Lifebar:
             "t_max": self.t_max,
             "t_dagger": self.t_dagger,
             "resolution": self.resolution,
-            "evaluations": [
-                {"t": t, "nonzero": nz, "subdivisions": k} for (t, nz, k) in self.evaluations
-            ],
+            "evaluations": [],
             "caveat": LIFEBAR_CAVEAT,
         }
 

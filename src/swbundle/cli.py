@@ -40,8 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Persistent first Stiefel-Whitney classes of line-bundle point clouds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cloud = argparse.ArgumentParser(add_help=False)  # what barcode and lifebar read and write
+    cloud.add_argument("--input", required=True)
+    cloud.add_argument("--output", required=True)
+    cloud.add_argument("--render", choices=("svg", "text", "json"), default="svg")
+    cloud.add_argument("--render-output", default=None)
 
     gen = sub.add_parser("generate", help="write a generated cloud to a JSON file")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--dataset", required=True, choices=sorted(_DATASET_ALIASES))
     gen.add_argument("--count", type=int, required=True, help="points (or grid rows)")
     gen.add_argument("--count-v", type=int, default=None, help="grid columns for surfaces")
@@ -50,28 +56,23 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True)
 
-    bar = sub.add_parser("barcode", help="persistence barcode of a cloud's flag filtration")
-    bar.add_argument("--input", required=True)
+    bar = sub.add_parser("barcode", parents=[cloud],
+                         help="persistence barcode of a cloud's flag filtration")
+    bar.set_defaults(run=_cmd_barcode)
     bar.add_argument("--max-edge", type=float, default=None,
                      help="largest filtration value (default: the bundle index bound)")
     bar.add_argument("--max-dim", type=int, default=1, choices=(0, 1),
                      help="largest reported degree: 0 or 1 (the flag complex's H2 "
                           "is not computed)")
-    bar.add_argument("--output", required=True)
-    bar.add_argument("--render", choices=("svg", "text", "json"), default="svg")
-    bar.add_argument("--render-output", default=None)
 
-    life = sub.add_parser("lifebar", help="lifebar of the first persistent class")
-    life.add_argument("--input", required=True)
+    life = sub.add_parser("lifebar", parents=[cloud], help="lifebar of the first persistent class")
+    life.set_defaults(run=_cmd_lifebar)
     life.add_argument("--resolution", type=float, default=0.02,
                       help="validated (positive and finite) and written to the output; "
                            "steers nothing, since the onset is exact")
     life.add_argument("--subdiv-limit", type=int, default=4,
                       help="validated (non-negative); steers nothing, since the parity "
                            "sweep needs no subdivision")
-    life.add_argument("--output", required=True)
-    life.add_argument("--render", choices=("svg", "text", "json"), default="svg")
-    life.add_argument("--render-output", default=None)
     return parser
 
 
@@ -166,11 +167,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "barcode":
-            return _cmd_barcode(args)
-        return _cmd_lifebar(args)
+        return args.run(args)
     except (ValueError, OSError, KeyError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

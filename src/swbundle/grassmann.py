@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import lazy_names
-
 GAP_TOLERANCE = 1e-9        # eigen-gap below which the projection is refused
 _SYM_TOLERANCE = 1e-8
 _JACOBI_TOLERANCE = 1e-12
@@ -131,7 +129,3 @@ def line_projectors(V: np.ndarray) -> np.ndarray:
 def tmax_from_gaps(gaps: np.ndarray, gamma: float) -> float:
     """gamma times the smallest medial-axis distance: sqrt(2)/2 times an eigen-gap."""
     return gamma * float(np.min(np.sqrt(2.0) / 2.0 * np.abs(gaps)))
-
-
-# the point types and helpers that moved to projective resolve through the package's table
-__getattr__ = lazy_names(__name__)

@@ -105,11 +105,11 @@ def barcode_text(bc: Barcode, t_max: float | None = None) -> str:
 
 
 def _lifebar_cut(lb: Lifebar, span: int) -> tuple:
-    """The caption, and where along span the zero part ends: span * cut / t_max,
-    or all of span at a zero bound."""
+    """The caption, and where along span the zero part ends: cut / t_max * span,
+    the ratio first so that no product overflows, or all of span at a zero bound."""
     caption = "empty" if lb.empty else f"nonzero from ~{_fmt(lb.t_dagger)}"
     cut = lb.t_max if lb.empty else lb.t_dagger
-    return caption, span * cut / lb.t_max if lb.t_max > 0 else span
+    return caption, cut / lb.t_max * span if lb.t_max > 0 else span
 
 
 def lifebar_svg(lb: Lifebar) -> str:

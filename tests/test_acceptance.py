@@ -18,8 +18,12 @@ from swbundle.datasets import (
     klein_normal,
     torus_normal,
 )
-from swbundle.grassmann import medial_distance, project_grassmannian
-from swbundle.projective import sw_class_at, triangulate_rp
+from swbundle.projective import (
+    medial_distance,
+    project_grassmannian,
+    sw_class_at,
+    triangulate_rp,
+)
 from swbundle.simplicial import (
     SimplicialComplex,
     is_simplicial_map,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -229,6 +230,20 @@ class TestBarcodeCommand:
         assert run("barcode", "--input", str(tmp_path / "nope.json"),
                    "--output", str(tmp_path / "x.json")) == 2
 
+    def test_module_entry_point_passes_the_exit_code(self, tmp_path):
+        # python -m swbundle.cli exits with what main returns
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        cloud = tmp_path / "c.json"
+        runs = (["generate", "--dataset", "mobius", "--count", "8", "--output", str(cloud)],
+                ["barcode", "--input", str(tmp_path / "nope.json"),
+                 "--output", str(tmp_path / "x.json")])
+        procs = [subprocess.run([sys.executable, "-m", "swbundle.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120) for argv in runs]
+        assert [p.returncode for p in procs] == [0, 2] and cloud.exists()
+        assert procs[1].stderr.startswith("error: ")
+
     def test_empty_cloud_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "m": 2, "gamma": 1.0, "points": []}')
@@ -404,6 +419,12 @@ def _corrupt(obj, where):
         obj["points"][2]["v"][1] = 10 ** 400
     elif where == "gamma 1e308":  # finite, but the squared distances overflow
         obj["gamma"] = 1e308
+    elif where == "gamma string":  # JSON "1", true and null: not numbers
+        obj["gamma"] = "1"
+    elif where == "gamma bool":
+        obj["gamma"] = True
+    elif where == "gamma null":
+        obj["gamma"] = None
     elif where == "x string":  # numbers that float() would read
         obj["points"][2]["x"] = [str(v) for v in obj["points"][2]["x"]]
     elif where == "A bool":
@@ -469,6 +490,9 @@ def _corrupt(obj, where):
     ("v big int", "point 2 has a number too large for a float in 'v'"),
     ("gamma big int", "'gamma' is a number too large for a float"),
     ("gamma 1e308", "squared distances overflow a float (gamma = 1e+308)"),
+    ("gamma string", "'gamma' must be a number, got '1'"),
+    ("gamma bool", "'gamma' must be a number, got True"),
+    ("gamma null", "'gamma' must be a number, got None"),
     ("x string", "point 2 has a non-numeric 'x'"),
     ("A bool", "point 2 has a non-numeric 'A'"),
     ("v string", "point 2 has a non-numeric 'v'"),
@@ -699,8 +723,8 @@ class TestRenderers:
     @pytest.mark.parametrize("name, render", [
         ("barcode.svg", lambda: barcode_svg(
             Barcode(((0, 0.0, INF), (0, 0.0, 0.3), (1, 0.25, 0.75), (1, 0.5, INF))), 1.0)),
-        ("lifebar.svg", lambda: lifebar_svg(Lifebar(0.5, 0.25, 0.02, ()))),
-        ("lifebar_empty.svg", lambda: lifebar_svg(Lifebar(0.5, None, 0.02, ()))),
+        ("lifebar.svg", lambda: lifebar_svg(Lifebar(0.5, 0.25, 0.02))),
+        ("lifebar_empty.svg", lambda: lifebar_svg(Lifebar(0.5, None, 0.02))),
     ])
     def test_svg_golden(self, name, render):
         assert render() == (GOLDEN / name).read_text()
@@ -744,15 +768,16 @@ class TestRenderers:
 
     @pytest.mark.parametrize("t_max, t_dagger", [
         (0.5, 0.25), (0.5, None), (1e-300, 3e-301), (1e300, 1e299), (1.0, 0.0), (0.0, None),
-        (1e-321, 5e-322)])
+        (1e-321, 5e-322), (1e306, 5e305)])
     def test_lifebar_cut_matches_the_formula(self, t_max, t_dagger):
-        # the zero part ends at span * cut / t_max (span 544 in the SVG, 79 in
+        # the zero part ends at cut / t_max * span (span 544 in the SVG, 79 in
         # the text), or fills the bar at a zero bound; the ticks sit at their
-        # fractions of the axis even where t_max * 0.75 rounds (a subnormal t_max)
-        lb = Lifebar(t_max, t_dagger, 0.02, ())
+        # fractions of the axis even where t_max * 0.75 rounds (a subnormal t_max),
+        # and no width overflows where span * cut would (cut 5e305)
+        lb = Lifebar(t_max, t_dagger, 0.02)
         cut = t_max if t_dagger is None else t_dagger
         svg = lifebar_svg(lb)
-        x = 48 + (544 * cut / t_max if t_max > 0 else 544)
+        x = 48 + (cut / t_max * 544 if t_max > 0 else 544)
         assert re.findall(r'<rect x="48" y="16" width="([^"]*)" height="16" fill="url', svg) == [
             format(x - 48, ".6g")]
         solid = re.findall(r'<rect x="([^"]*)" y="16" width="([^"]*)" height="16" fill="#', svg)
@@ -760,18 +785,18 @@ class TestRenderers:
         assert re.findall(TICK, svg) == (["48", "184", "320", "456", "592"] if t_max > 0
                                          else ["48"] * 5)
         bar = lifebar_text(lb).splitlines()[0]
-        c = int(round(79 * cut / t_max)) if t_max > 0 else 79
+        c = int(round(cut / t_max * 79)) if t_max > 0 else 79
         assert len(bar) == 79 and bar.count("/") == c and bar == "/" * c + "#" * (79 - c)
 
     def test_lifebar_renderings(self):
-        lb = Lifebar(0.5, 0.25, 0.02, ())
+        lb = Lifebar(0.5, 0.25, 0.02)
         text = lifebar_text(lb)
         assert text.count("/") == 40 and text.count("#") > 0
         svg = lifebar_svg(lb)
         assert svg.startswith("<svg") and "hatch" in svg
-        empty = Lifebar(0.5, None, 0.02, ())
+        empty = Lifebar(0.5, None, 0.02)
         assert "empty" in lifebar_text(empty)
 
     def test_deterministic_svg(self):
-        lb = Lifebar(0.5, 0.1, 0.02, ())
+        lb = Lifebar(0.5, 0.1, 0.02)
         assert lifebar_svg(lb) == lifebar_svg(lb)

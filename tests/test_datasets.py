@@ -18,7 +18,8 @@ from swbundle.datasets import (
     tangent_lift,
     torus_normal,
 )
-from swbundle.grassmann import MedialAxisError, line_projector
+from swbundle.grassmann import MedialAxisError
+from swbundle.projective import line_projector
 
 from test_cli import MEDIAL_AXIS_CLOUD
 

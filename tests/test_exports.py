@@ -1,9 +1,9 @@
 """The package's _EXPORTS table is the one record of where a name lives.
 
-cli, bundle and grassmann resolve every exported name they do not define
-through it, so old import paths (the oracle helpers that moved to
-projective) and the names bench/spans.py patches in those modules keep
-working.
+cli and bundle resolve every exported name they do not define through it, so
+the names bench/spans.py patches in those modules keep working.  grassmann
+forwards nothing: the point types and helpers that moved to projective are
+imported from there.
 """
 
 import importlib
@@ -13,7 +13,7 @@ import pytest
 import swbundle
 
 
-@pytest.mark.parametrize("module_name", ["cli", "bundle", "grassmann"])
+@pytest.mark.parametrize("module_name", ["cli", "bundle"])
 def test_every_export_resolves_to_one_object(module_name):
     module = importlib.import_module(f"swbundle.{module_name}")
     for home, names in swbundle._EXPORTS.items():
@@ -21,6 +21,17 @@ def test_every_export_resolves_to_one_object(module_name):
         for name in names:
             assert name in vars(defining), (home, name)
             assert getattr(module, name) is getattr(swbundle, name) is vars(defining)[name]
+
+
+@pytest.mark.parametrize("name", ["GrassmannPoint", "MatrixPoint", "gamma_dist",
+                                  "line_projector", "medial_distance",
+                                  "project_grassmannian", "tmax"])
+def test_grassmann_forwards_no_name(name):
+    import swbundle.grassmann as grassmann
+    import swbundle.projective as projective
+
+    assert callable(getattr(projective, name))
+    assert not hasattr(grassmann, name)  # so "from swbundle.grassmann import name" fails
 
 
 @pytest.mark.parametrize("module_name", ["", ".cli", ".bundle", ".grassmann"])

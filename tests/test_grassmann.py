@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from swbundle.grassmann import (
-    GrassmannPoint,
-    MatrixPoint,
     MedialAxisError,
     eigen_gaps,
     eigh_descending,
-    gamma_dist,
     jacobi_eigh_batch,
-    line_projector,
     line_projectors,
+)
+from swbundle.projective import (
+    GrassmannPoint,
+    MatrixPoint,
+    gamma_dist,
+    line_projector,
     medial_distance,
     project_grassmannian,
     tmax,
@@ -85,6 +87,11 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigh_batch(np.array([[0.0, 1.0], [0.0, 0.0]])[None])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3)])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(ValueError, match=r"stack of square matrices of shape \(N, m, m\)"):
+            jacobi_eigh_batch(np.zeros(shape))
 
     def test_batch_rejects_one_asymmetric(self, rng):
         S = rng.normal(size=(4, 3, 3))

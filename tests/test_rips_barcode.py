@@ -602,6 +602,13 @@ def test_barcode_stores_its_intervals_sorted():
     assert Barcode.from_json(json.dumps(rows[::-1])).intervals == want
 
 
+@pytest.mark.parametrize("bar", [(-1, 0.0, 1.0), (1, 0.5, 0.25)], ids=["degree", "order"])
+def test_barcode_refuses_a_bad_interval(bar):
+    # a negative degree, and a bar that dies before it is born
+    with pytest.raises(ValueError, match="bad interval"):
+        Barcode((bar,))
+
+
 # ends of every size a float takes: zero, the least subnormal, a decimal
 # that repr rounds, past 2 ** 53, near and at the largest float, and inf
 EXTREME_ENDS = (0.0, 5e-324, 0.1, 1e16, 1e300, 1.7976931348623157e308, INF)
