@@ -330,34 +330,57 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
     return (i, j, values) if keep.all() else (i[keep], j[keep], values[keep])
 
 
-# relative margin of the edge certificate against the rounding of the
-# eigen-gaps and of |A_i - A_j|_F
+# relative margin of the edge certificates against the rounding of the
+# eigen-gaps, of |A_i - A_j|_F and of the edge values
 CHORD_MARGIN = 1e-6
+
+
+def _value_certified(gamma: float, gaps: np.ndarray, c: np.ndarray, i: np.ndarray,
+                     j: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The edges ij whose value v alone passes the chord test, as gamma
+    |A_i - A_j|_F <= 2 v: 2 sqrt(2) sqrt(1 + 2 CHORD_MARGIN) v / gamma <
+    g_i + g_j, written without a square or a quotient, and c^2 >
+    GAP_TOLERANCE (see lifebar)."""
+    factor = 2.0 * SQRT2 * math.sqrt(1.0 + 2.0 * CHORD_MARGIN)
+    # + 1e-150: where the listing's squares underflow, a value is exact only
+    # to an absolute 1e-160 or so
+    short = factor * values + 1e-150 < gamma * (gaps[i] + gaps[j])
+    return short & (c * c > GAP_TOLERANCE)
 
 
 def _chord_certified(mats: np.ndarray, gaps: np.ndarray, c: np.ndarray, i: np.ndarray,
                      j: np.ndarray) -> np.ndarray:
     """The edges ij with sqrt(2) |A_i - A_j|_F < g_i + g_j, with a relative
     margin, whose c = u_i . u_j has c^2 > GAP_TOLERANCE: their flip is c < 0
-    (see lifebar)."""
-    dA = mats[i] - mats[j]
-    chord2 = np.einsum("kab,kab->k", dA, dA)
-    short = 2.0 * (1.0 + CHORD_MARGIN) * chord2 < (gaps[i] + gaps[j]) ** 2
+    (see lifebar).  The norm is a hypot of the entries, so nothing is
+    squared: a square of a gap or an entry overflows past 1.3e154."""
+    chord = np.hypot.reduce(mats[i] - mats[j], axis=(1, 2))
+    short = SQRT2 * math.sqrt(1.0 + CHORD_MARGIN) * chord < gaps[i] + gaps[j]
     return short & (c * c > GAP_TOLERANCE)
 
 
-def _edge_flips(mats, u, gaps, i, j, first: int = 0) -> np.ndarray:
-    """Whether the fiber line flips along each edge ij below the bound: by the
-    chord certificate, else by the midpoint rule (see lifebar).  MedialAxisError
+def _edge_flips(mats, u, gaps, gamma, i, j, values, first: int = 0) -> np.ndarray:
+    """Whether the fiber line flips along each edge ij, of the given values,
+    below the bound: by the value certificate, else by the chord
+    certificate, else by the midpoint rule (see lifebar).  MedialAxisError
     numbers a midpoint from first, the edges _odd_cycle_sweep read before."""
     c = np.einsum("ij,ij->i", u[i], u[j])
     flips = c < 0.0
-    long = np.flatnonzero(~_chord_certified(mats, gaps, c, i, j))
+    long = np.flatnonzero(~_value_certified(gamma, gaps, c, i, j, values))
+    if long.size:  # the sliver next to the bound, and |c| at the rounding
+        long = long[~_chord_certified(mats, gaps, c[long], i[long], j[long])]
     if long.size:
         li, lj = i[long], j[long]
         mid, _ = _top_eigenvectors((mats[li] + mats[lj]) / 2.0, "edge midpoint", first + long)
         flips[long] = np.einsum("ij,ij->i", u[li], mid) * np.einsum("ij,ij->i", mid, u[lj]) < 0.0
     return flips
+
+
+def _first_block(n: int) -> int:
+    """The number of edges in the lifebar sweep's first block on n points.
+    A block costs about 40 array operations whatever its size, so a small
+    listing is read in one."""
+    return max(4 * n, 1024)
 
 
 def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
@@ -392,10 +415,11 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     - g_M (Courant-Fischer at A_i and at M), so t (w'Ew - u_i'Eu_i) >=
     g_i + g_M >= g_i + g_j - (1 - t) s, hence s >= g_i + g_j.  So the line
     never turns orthogonal to u_i and arrives as sign(c) u_j.  Rounding:
-    A_i - A_j is formed entrywise to eps relative, so |A_i - A_j|_F^2 is off
-    by about (m^2 + 2) eps relative, and the eigensolve's gaps by about
-    m eps |A|; the relative margin CHORD_MARGIN covers both while g_i + g_j
-    exceeds about 4 m eps |A| / CHORD_MARGIN, near GAP_TOLERANCE at |A| ~ 1.
+    A_i - A_j is formed entrywise to eps relative, so |A_i - A_j|_F, a
+    hypot of its entries, is off by about (m^2 + 2) eps relative, and the
+    eigensolve's gaps by about m eps |A|; the relative margin CHORD_MARGIN
+    covers both while g_i + g_j exceeds about 4 m eps |A| / CHORD_MARGIN,
+    near GAP_TOLERANCE at |A| ~ 1.
     In exact arithmetic the test also bounds c: compressed to span(u_i,
     u_j), sym(A_i) and sym(A_j) keep their top lines u_i and u_j with gaps
     h_i >= g_i and h_j >= g_j, and the 2 x 2 case gives 2 |A_i - A_j|_F^2
@@ -406,25 +430,41 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     chord test with |c| at that rounding.  So the test also asks c^2 >
     GAP_TOLERANCE (|c| > 3.2e-5), and such an edge goes to the midpoint.
 
-    Only the edges the certificate refuses (the long edges: a sliver within
-    about 5e-7 relative of the bound, or |c| at most 3.2e-5) have their
-    midpoints solved and checked.  On projector payloads (gaps 1, |P_i -
-    P_j|_F^2 = 2 (1 - c^2)) the test reads c^2 > CHORD_MARGIN / (1 +
-    CHORD_MARGIN): every edge with |c| above 1e-3 is certified.
+    Value certificate: the edge's value v = |e_i - e_j| / 2, which the
+    listing already holds, bounds gamma |A_i - A_j|_F <= 2 v, so 2 sqrt(2)
+    sqrt(1 + 2 CHORD_MARGIN) v / gamma < g_i + g_j, with c^2 >
+    GAP_TOLERANCE, implies the chord test with no m x m matrix gathered.
+    Rounding: v is the root of a sum of k squares, one per embedding
+    coordinate, off by about (k + 2) eps relative, which the doubled margin
+    (about 5e-7 more on the norm) covers; where gamma |A| is small enough
+    for the squares to underflow, an absolute 1e-150 covers the terms lost.  Below the bound
+    v < gamma g / sqrt(2) for the smallest gap g, so the value test refuses
+    only the edges within about 1e-6 relative of the bound and those with
+    |c| at most 3.2e-5.  Only those go to the chord test, and only the edges
+    both refuse (the long edges: a sliver within about 5e-7 relative of the
+    bound, or |c| at most 3.2e-5) have their midpoints solved and checked.
+    On projector payloads (gaps 1, |P_i - P_j|_F^2 = 2 (1 - c^2)) the chord
+    test reads c^2 > CHORD_MARGIN / (1 + CHORD_MARGIN): every edge with |c|
+    above 1e-3 is certified.
 
     The sweep takes _flag_graph's edges unordered and signs them block by
-    block, only as far as it reads: the first block has the max(n, 64)
-    smallest values and each later one twice as many, plus ties, so at most
-    about twice the edges up to the closing one plus one block are signed.
-    Only the blocks read before the forest spans are sorted.  An empty
-    lifebar solves the midpoint of every long edge below the bound.
+    block, only as far as it reads: the first block has the _first_block(n)
+    = max(4 n, 1024) smallest values and each later one twice as many, plus
+    ties, so at most about twice the edges up to the closing one plus one
+    block are signed.  A block costs about 40 array operations whatever its
+    size, so a small listing is read in one.  Only the blocks read before
+    the forest spans are sorted, and the unread rest of the listing is
+    copied only when the sweep moves on to a later block: a lifebar that
+    closes in its first block copies none of it.  An empty lifebar solves
+    the midpoint of every long edge below the bound.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     u, gaps, bound = _point_lines(cloud)
     n = len(cloud)
     value = _odd_cycle_sweep(n, *_flag_graph(cloud, math.nextafter(SQRT2 * bound, 0.0)),
-                             max(n, 64), partial(_edge_flips, cloud.mats, u, gaps))[0]
+                             _first_block(n),
+                             partial(_edge_flips, cloud.mats, u, gaps, cloud.gamma))[0]
     if value is None:
         return Lifebar(bound, None, resolution)
     t_star = value / SQRT2  # made the smallest double with SQRT2 * t_star >= value
@@ -518,8 +558,9 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
     The edges ij with the given values come in any order; filtration order
     is by value, ties in listed order.  They are read in blocks, the `first`
     smallest values, then twice as many each time, each block also taking
-    the values tied with its last; sign(i, j, read) gives a block's flips,
-    read the number of edges before it (without sign, none flips).  Returns
+    the values tied with its last; sign(i, j, values, read) gives a block's
+    flips, read the number of edges before it (without sign, none flips).
+    The unread rest is copied out only when the sweep moves on.  Returns
     (value, forest): the value of the first edge that closes a cycle with an
     odd number of flips (None if none does), and the filtration positions
     of the edges before it that join two components.  A block is sorted
@@ -544,17 +585,16 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
 
     forest, labels, read = [], None, 0  # labels: each vertex's parity to the root, once connected
     while values.size:
+        take = None  # the block's mask, where a later block remains
         if first < values.size:
             take = values <= np.partition(values, first - 1)[first - 1]
-            rest = ~take
             bi, bj, bv = i[take], j[take], values[take]
-            i, j, values = i[rest], j[rest], values[rest]
         else:
-            bi, bj, bv, values = i, j, values, values[:0]
+            bi, bj, bv = i, j, values
         if labels is None and (bv[1:] < bv[:-1]).any():  # a block in filtration order stays
             order = np.argsort(bv, kind="stable")
             bi, bj, bv = bi[order], bj[order], bv[order]
-        flips = sign(bi, bj, read) if sign else None
+        flips = sign(bi, bj, bv, read) if sign else None
         start, s, t = 0, 0, max(n, 64)  # the edges [s, t) as Python ints, t - s doubling
         while labels is None and s < bv.size:
             for e, a, b, flip in zip(range(s, t), bi[s:t].tolist(), bj[s:t].tolist(),
@@ -579,6 +619,10 @@ def _odd_cycle_sweep(n: int, i: np.ndarray, j: np.ndarray, values: np.ndarray, f
             odd = labels[bi[start:]] ^ labels[bj[start:]] ^ flips[start:]
             if odd.any():
                 return float(bv[start:][odd].min()), forest
+        if take is None:
+            break
+        rest = ~take  # the unread rest, copied only now that the sweep reads on
+        i, j, values = i[rest], j[rest], values[rest]
         read += len(bv)
         first *= 2
     return None, forest

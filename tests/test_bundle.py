@@ -430,8 +430,8 @@ class TestLifebar:
         lb = lifebar(cloud, resolution=0.05)
         assert lb == expected
         # one eigensolve of the points gives both the bound and the lines;
-        # the odd cycle closes within the first block of 64 edges, each of
-        # them certified by its chord, and no distance matrix is built
+        # the odd cycle closes within the first block, each of its edges
+        # certified, and no distance matrix is built
         assert calls == {"tmax": 0, "eigh_descending": 1, "distance_matrix": 0, "payloads": 0}
 
     @staticmethod
@@ -452,14 +452,16 @@ class TestLifebar:
     @staticmethod
     def _refused_per_block(cloud):
         """The values of the edges below the bound, the ends of the blocks
-        lifebar signs (the first max(N, 64) edges, then doubling, each block
-        extended over the values tied with its last) and the number of
+        lifebar signs (the first _first_block(N) edges, then doubling, each
+        block extended over the values tied with its last) and the number of
         edges the chord certificate refuses in each block."""
+        import swbundle.bundle as bundle
+
         u, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
         c = np.einsum("ij,ij->i", u[iu], u[ju])
         refused = ~_chord_certified(cloud.mats, gaps, c, iu, ju)
-        size, ends = max(len(cloud), 64), [0]
+        size, ends = bundle._first_block(len(cloud)), [0]
         while ends[-1] < len(values):
             end = min(ends[-1] + size, len(values))
             ends.append(int(np.searchsorted(values, values[end - 1], side="right")))
@@ -487,6 +489,11 @@ class TestLifebar:
         return lb, refused[:read], refused[read:]
 
     def test_midpoints_solved_as_far_as_the_sweep_reads(self, monkeypatch):
+        import swbundle.bundle as bundle
+
+        # first blocks of max(N, 64) edges: these clouds then span several
+        # blocks, the last of them never read
+        monkeypatch.setattr(bundle, "_first_block", lambda n: max(n, 64))
         rows = self._solved_rows(monkeypatch)
         # the canonical noisy Klein cloud and its matrix parts moved off G_1
         # at shift 1 (gamma 2): the certificate signs every edge, so only the
@@ -508,6 +515,9 @@ class TestLifebar:
         assert not lb.empty and rows == [13, 1] and not left
 
     def test_empty_lifebar_solves_every_long_edge(self, monkeypatch):
+        import swbundle.bundle as bundle
+
+        monkeypatch.setattr(bundle, "_first_block", lambda n: max(n, 64))  # several blocks
         rows = self._solved_rows(monkeypatch)
         # the noisy torus and its matrix parts at shift 1: every edge signed
         for cloud in (add_noise(torus_normal(12, 12), 0.03, 0),
@@ -670,7 +680,7 @@ def _odd_triangle_values(cloud):
     V = np.full((n, n), np.inf)
     V[i, j] = V[j, i] = values
     F = np.zeros((n, n), dtype=bool)
-    F[i, j] = F[j, i] = _edge_flips(cloud.mats, u, gaps, i, j)
+    F[i, j] = F[j, i] = _edge_flips(cloud.mats, u, gaps, cloud.gamma, i, j, values)
     odd = []
     for a, b in zip(i.tolist(), j.tolist()):  # a < b < k: each triangle once
         k = np.flatnonzero(np.isfinite(V[a]) & np.isfinite(V[b]))

@@ -15,6 +15,7 @@ and give the flip the midpoint rule gives.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,13 +31,22 @@ from swbundle.bundle import (
     _odd_cycle_sweep,
     _point_lines,
     _top_eigenvectors,
+    _value_certified,
     checked_index_bound,
+    lifebar,
+    lift_cloud,
 )
 from swbundle.datasets import add_noise, circle_normal, circle_tautological, klein_normal
-from swbundle.grassmann import MedialAxisError
+from swbundle.grassmann import GAP_TOLERANCE, MedialAxisError
 from swbundle.simplicial import _flag_edges
 
-from test_bundle import CROSS_CHECK_CLOUDS, SHIFT_ONE_CLOUDS, STRONG_NON_PROJECTOR_CLOUDS
+from test_bundle import (
+    CROSS_CHECK_CLOUDS,
+    SHIFT_ONE_CLOUDS,
+    STRONG_NON_PROJECTOR_CLOUDS,
+    _non_projector,
+    _twinned,
+)
 
 
 def _shifted(cloud, offset=1e3):
@@ -66,8 +76,9 @@ def _assert_blocks_match(cloud, max_value, first):
     assert n == len(cloud)
     blocks = []
 
-    def sign(i, j, before):
+    def sign(i, j, block_values, before):
         assert before == sum(map(len, blocks))  # the filtration position of the block
+        assert block_values.tolist() == list(map(value_of.get, (i * n + j).tolist()))
         blocks.append(i * n + j)
         return np.zeros(len(i), dtype=bool)
 
@@ -197,11 +208,11 @@ def test_certified_flips_equal_midpoint_flips(name):
     # every edge below the bound, torus-8's coarse grid included
     cloud = COVERAGE_CLOUDS[name]()
     u, gaps, _ = _point_lines(cloud)
-    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    _, i, j, values = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
     c = np.einsum("ij,ij->i", u[i], u[j])
     certified = _chord_certified(cloud.mats, gaps, c, i, j)
     assert certified.size and certified.all()
-    flips = _edge_flips(cloud.mats, u, gaps, i, j)
+    flips = _edge_flips(cloud.mats, u, gaps, cloud.gamma, i, j, values)
     assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
     assert np.array_equal(flips, c < 0.0)
 
@@ -213,15 +224,149 @@ def test_projector_certificate_covers_cross_check_clouds(name, monkeypatch):
     # midpoint eigensolve
     cloud = CROSS_CHECK_CLOUDS[name]()
     u, gaps, _ = _point_lines(cloud)
-    _, i, j, _ = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
+    _, i, j, values = _flag_edges(cloud.distance_matrix(), _max_value(cloud))
     assert i.size
 
     def no_midpoint(*args):
         raise AssertionError(f"{name}: a midpoint eigensolve")
 
     monkeypatch.setattr(bundle, "_top_eigenvectors", no_midpoint)
-    flips = _edge_flips(cloud.mats, u, gaps, i, j)
+    flips = _edge_flips(cloud.mats, u, gaps, cloud.gamma, i, j, values)
     assert np.array_equal(flips, np.einsum("ij,ij->i", u[i], u[j]) < 0.0)
+
+
+def _chord_then_midpoint_flips(cloud, u, gaps, i, j):
+    """The flips by the rule that signed every edge before the value
+    certificate: the chord test in squares, 2 (1 + CHORD_MARGIN) |A_i -
+    A_j|_F^2 < (g_i + g_j)^2 with c^2 > GAP_TOLERANCE, and the midpoint
+    rule on every edge it refuses; and how many edges it refused."""
+    c = np.einsum("ij,ij->i", u[i], u[j])
+    dA = cloud.mats[i] - cloud.mats[j]
+    chord2 = np.einsum("kab,kab->k", dA, dA)
+    long = ~((2.0 * (1.0 + CHORD_MARGIN) * chord2 < (gaps[i] + gaps[j]) ** 2)
+             & (c * c > GAP_TOLERANCE))
+    flips = c < 0.0
+    if long.any():
+        flips[long] = _midpoint_flips(cloud, u, i[long], j[long])
+    return flips, int(long.sum())
+
+
+# twins 1e-4 from orthogonal: edges in the sliver both certificates refuse
+FLIP_CLOUDS = {
+    **EDGE_CLOUDS,
+    "mobius-20-twinned": lambda: _twinned(circle_tautological(20, 1.0), 3),
+    "circle-normal-30-gamma-0.5-twinned": lambda: _twinned(circle_normal(30, 0.5), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_CLOUDS))
+def test_edge_flips_equal_the_chord_then_midpoint_rule(name):
+    # the value certificate changes which test signs an edge, never a flip:
+    # on the lifebar's own listing, edge for edge, and the midpoints solved
+    # are the same edges
+    cloud = FLIP_CLOUDS[name]()
+    u, gaps, _ = _point_lines(cloud)
+    i, j, values = _flag_graph(cloud, _max_value(cloud))
+    want, refused = _chord_then_midpoint_flips(cloud, u, gaps, i, j)
+    solved = []
+    solve = bundle.eigh_descending
+
+    def counted(S):
+        solved.append(S.shape[0])
+        return solve(S)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundle, "eigh_descending", counted)
+        flips = _edge_flips(cloud.mats, u, gaps, cloud.gamma, i, j, values)
+    assert np.array_equal(flips, want)
+    assert sum(solved) == refused
+    assert refused == 0 or name.endswith("twinned")
+
+
+def test_property_value_certificate_implies_chord_certificate():
+    # below the bound, an edge its value certifies passes the chord test:
+    # projector payloads, with twins whose lines meet at |c| about 1e-3,
+    # between the value test's threshold and the chord test's, and the
+    # strongly perturbed and shift-1 payloads, at gamma from 1e-3 to 1e3
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = set()
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 4), st.floats(-3.0, 3.0), st.sampled_from(["projector", "strong", "shift"]),
+        st.floats(5e-4, 3e-3), st.floats(0.05, 1.0), st.integers(0, 2**16),
+    )
+    def check(m, log_gamma, kind, twin_c, spread, seed):
+        rng = np.random.default_rng(seed)
+        gamma = 10.0 ** log_gamma
+        lines = rng.normal(size=(12, m))
+        lines /= np.linalg.norm(lines, axis=1, keepdims=True)
+        other = rng.normal(size=(4, m))
+        other -= np.einsum("ij,ij->i", other, lines[:4])[:, None] * lines[:4]
+        other /= np.linalg.norm(other, axis=1, keepdims=True)
+        twins = twin_c * lines[:4] + math.sqrt(1.0 - twin_c ** 2) * other
+        xs = gamma * spread * rng.normal(size=(12, 2))
+        cloud = lift_cloud(np.concatenate([xs, xs[:4]]), np.concatenate([lines, twins]), gamma)
+        if kind == "strong":
+            cloud = _non_projector(cloud, seed, rng.uniform(0.15, 0.2))
+        elif kind == "shift":
+            cloud = _non_projector(cloud, seed, 0.02, 1.0)
+        try:
+            u, gaps, _ = _point_lines(cloud)
+        except MedialAxisError:
+            hypothesis.reject()
+        i, j, values = _flag_graph(cloud, _max_value(cloud))
+        c = np.einsum("ij,ij->i", u[i], u[j])
+        by_value = _value_certified(cloud.gamma, gaps, c, i, j, values)
+        by_chord = _chord_certified(cloud.mats, gaps, c, i, j)
+        assert not np.any(by_value & ~by_chord)
+        seen.update(zip(by_value.tolist(), by_chord.tolist()))
+
+    check()
+    # both certify most edges; the value test alone refuses some
+    assert seen >= {(True, True), (False, True)}
+
+
+def test_value_certificate_where_the_squares_underflow():
+    # at gamma 1e-170 the listing's squares of gamma (P_i - P_j) underflow to
+    # 0, so two points at one base point read the value 0 whatever their
+    # lines; lines 1e-4 from orthogonal fail the chord test, and so must
+    # they fail the value test
+    c = 1e-4
+    lines = np.array([[1.0, 0.0], [c, math.sqrt(1.0 - c * c)]])
+    cloud = lift_cloud(np.zeros((2, 1)), lines, 1e-170)
+    u, gaps, _ = _point_lines(cloud)
+    i, j, values = _flag_graph(cloud, _max_value(cloud))
+    assert values.tolist() == [0.0]
+    dot = np.einsum("ij,ij->i", u[i], u[j])
+    assert not _chord_certified(cloud.mats, gaps, dot, i, j)[0]
+    assert not _value_certified(cloud.gamma, gaps, dot, i, j, values)[0]
+
+
+def test_huge_matrix_parts_run_warning_free():
+    # Mobius-40 with its matrix parts scaled by 1e160, at gamma 1e-10: the
+    # loader accepts it (its squared distances fit a float), yet squaring
+    # g_i + g_j or A_i - A_j overflows.  Neither certificate squares them;
+    # the ratio t_dagger / t_max is that of the same cloud at 1e150 and
+    # gamma 1e-5, where nothing overflows, and the chord test signs the
+    # same edges
+    base = circle_tautological(40, 1.0)
+
+    def run(scale, gamma):
+        cloud = LiftedCloud(base.xs, base.mats * scale, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lb = lifebar(cloud)
+            u, gaps, _ = _point_lines(cloud)
+            i, j, _ = _flag_graph(cloud, _max_value(cloud))
+            certified = _chord_certified(cloud.mats, gaps, np.einsum("ij,ij->i", u[i], u[j]), i, j)
+        return lb.t_dagger / lb.t_max, certified
+
+    huge, huge_certified = run(1e160, 1e-10)
+    ratio, certified = run(1e150, 1e-5)
+    assert huge == pytest.approx(ratio, rel=1e-12, abs=0.0)
+    assert certified.size and np.array_equal(huge_certified, certified)
 
 
 def _path_flip(A, B, u_a, u_b, steps=256):
@@ -298,9 +443,9 @@ def _assert_flip_agrees(mats):
     along the segment agree; returns whether the chord certificate signed
     it."""
     u, gaps = _top_eigenvectors(mats, "point")
-    i, j = np.array([0]), np.array([1])
     cloud = LiftedCloud(np.zeros((2, 1)), mats, 1.0)
-    flip = bool(_edge_flips(mats, u, gaps, i, j)[0])
+    i, j, values = _flag_graph(cloud, math.inf)
+    flip = bool(_edge_flips(mats, u, gaps, 1.0, i, j, values)[0])
     assert flip == bool(_midpoint_flips(cloud, u, i, j)[0])
     assert flip == _path_flip(mats[0], mats[1], u[0], u[1])
     return bool(_chord_certified(mats, gaps, np.array([u[0] @ u[1]]), i, j)[0])
@@ -387,8 +532,9 @@ def test_chord_certificate_refuses_c_at_the_rounding():
         if 2.0 * (1.0 + CHORD_MARGIN) * chord2 < (gaps[0] + gaps[1]) ** 2 and abs(c[0]) <= 3.2e-5:
             passed += 1
             assert not _chord_certified(mats, gaps, c, i, j)[0]
+            values = _flag_graph(LiftedCloud(np.zeros((2, 1)), mats, 1.0), math.inf)[2]
             with pytest.raises(MedialAxisError, match="edge midpoint 0"):
-                _edge_flips(mats, u, gaps, i, j)
+                _edge_flips(mats, u, gaps, 1.0, i, j, values)
     assert passed
 
 

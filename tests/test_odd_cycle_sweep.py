@@ -87,10 +87,12 @@ def sweep(rng, n, edges, flips, values=None):
     i = np.array([edges[k][0] for k in listed.tolist()], dtype=np.int64)
     j = np.array([edges[k][1] for k in listed.tolist()], dtype=np.int64)
     flip_of = {edge: flip for edge, flip in zip(edges, flips)}
+    value_of = dict(zip(edges, values.tolist()))
     read = []
 
-    def sign(bi, bj, before):
+    def sign(bi, bj, bv, before):
         assert before == sum(read)
+        assert bv.tolist() == [value_of[e] for e in zip(bi.tolist(), bj.tolist())]
         read.append(len(bi))
         return np.array([flip_of[e] for e in zip(bi.tolist(), bj.tolist())], dtype=bool)
 
@@ -167,7 +169,7 @@ def components(n, edges):
 def test_single_vertex():
     empty = np.array([], dtype=np.int64)
     assert _odd_cycle_sweep(1, empty, empty, np.array([]), 1) == (None, [])
-    sign = lambda i, j, before: np.array([], dtype=bool)  # noqa: E731
+    sign = lambda i, j, values, before: np.array([], dtype=bool)  # noqa: E731
     assert _odd_cycle_sweep(1, empty, empty, np.array([]), 1, sign) == (None, [])
 
 
@@ -189,10 +191,12 @@ def test_reads_no_block_past_the_closing_one():
     # blocks only, each with the number of edges read before it
     for edges, first, answer in (ORDERED, PAST_THE_FOREST):
         flip_of = {(a, b): f for a, b, f in edges}
+        value_of = {(a, b): float(k) for k, (a, b, _) in enumerate(edges)}
         i, j = (np.array(column[::-1]) for column in list(zip(*edges))[:2])
         read = []
 
-        def sign(bi, bj, before):
+        def sign(bi, bj, bv, before):
+            assert bv.tolist() == [value_of[e] for e in zip(bi.tolist(), bj.tolist())]
             read.append(before)
             return np.array([flip_of[e] for e in zip(bi.tolist(), bj.tolist())])
 
@@ -223,7 +227,7 @@ def test_sorted_listing_answers_as_shuffled(seed):
     values = np.floor(np.arange(E) / (1 + seed % 3))
     flip_of = dict(zip(edges, flips))
 
-    def sign(bi, bj, before):
+    def sign(bi, bj, bv, before):
         return np.array([flip_of[e] for e in zip(bi.tolist(), bj.tolist())], dtype=bool)
 
     shuffled, ordered = listings(rng, i, j, values)
@@ -245,7 +249,7 @@ def test_lifebar_listing_sorted_or_shuffled(cloud):
     u, gaps, bound = _point_lines(cloud)
     listed = _flag_graph(cloud, math.nextafter(SQRT2 * bound, 0.0))
     shuffled, ordered = listings(np.random.default_rng(0), *listed)
-    sign = partial(_edge_flips, cloud.mats, u, gaps)
+    sign = partial(_edge_flips, cloud.mats, u, gaps, cloud.gamma)
     for first in (max(len(cloud), 64), len(listed[2])):
         assert _odd_cycle_sweep(len(cloud), *ordered, first, sign) == \
             _odd_cycle_sweep(len(cloud), *shuffled, first, sign)
