@@ -330,17 +330,17 @@ def _flag_graph(cloud: LiftedCloud, max_value: float):
     return (i, j, values) if keep.all() else (i[keep], j[keep], values[keep])
 
 
-# relative margin of the edge certificates against the rounding of the
-# eigen-gaps, of |A_i - A_j|_F and of the edge values
+# relative margin of the edge certificate against the rounding of the
+# eigen-gaps and of the edge values
 CHORD_MARGIN = 1e-6
 
 
 def _value_certified(gamma: float, gaps: np.ndarray, c: np.ndarray, i: np.ndarray,
                      j: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The edges ij whose value v alone passes the chord test, as gamma
+    """The edges ij whose value v alone meets the chord lemma, as gamma
     |A_i - A_j|_F <= 2 v: 2 sqrt(2) sqrt(1 + 2 CHORD_MARGIN) v / gamma <
     g_i + g_j, written without a square or a quotient, and c^2 >
-    GAP_TOLERANCE (see lifebar)."""
+    GAP_TOLERANCE; their flip is c < 0 (see lifebar)."""
     factor = 2.0 * SQRT2 * math.sqrt(1.0 + 2.0 * CHORD_MARGIN)
     # + 1e-150: where the listing's squares underflow, a value is exact only
     # to an absolute 1e-160 or so
@@ -348,28 +348,15 @@ def _value_certified(gamma: float, gaps: np.ndarray, c: np.ndarray, i: np.ndarra
     return short & (c * c > GAP_TOLERANCE)
 
 
-def _chord_certified(mats: np.ndarray, gaps: np.ndarray, c: np.ndarray, i: np.ndarray,
-                     j: np.ndarray) -> np.ndarray:
-    """The edges ij with sqrt(2) |A_i - A_j|_F < g_i + g_j, with a relative
-    margin, whose c = u_i . u_j has c^2 > GAP_TOLERANCE: their flip is c < 0
-    (see lifebar).  The norm is a hypot of the entries, so nothing is
-    squared: a square of a gap or an entry overflows past 1.3e154."""
-    chord = np.hypot.reduce(mats[i] - mats[j], axis=(1, 2))
-    short = SQRT2 * math.sqrt(1.0 + CHORD_MARGIN) * chord < gaps[i] + gaps[j]
-    return short & (c * c > GAP_TOLERANCE)
-
-
 def _edge_flips(mats, u, gaps, gamma, i, j, values, first: int = 0) -> np.ndarray:
     """Whether the fiber line flips along each edge ij, of the given values,
-    below the bound: by the value certificate, else by the chord
-    certificate, else by the midpoint rule (see lifebar).  MedialAxisError
-    numbers a midpoint from first, the edges _odd_cycle_sweep read before."""
+    below the bound: c < 0 on the edges the value certificate signs, else
+    by the midpoint rule (see lifebar).  MedialAxisError numbers a midpoint
+    from first, the edges _odd_cycle_sweep read before."""
     c = np.einsum("ij,ij->i", u[i], u[j])
     flips = c < 0.0
     long = np.flatnonzero(~_value_certified(gamma, gaps, c, i, j, values))
     if long.size:  # the sliver next to the bound, and |c| at the rounding
-        long = long[~_chord_certified(mats, gaps, c[long], i[long], j[long])]
-    if long.size:
         li, lj = i[long], j[long]
         mid, _ = _top_eigenvectors((mats[li] + mats[lj]) / 2.0, "edge midpoint", first + long)
         flips[long] = np.einsum("ij,ij->i", u[li], mid) * np.einsum("ij,ij->i", mid, u[lj]) < 0.0
@@ -405,47 +392,42 @@ def lifebar(cloud: LiftedCloud, resolution: float = 0.02) -> Lifebar:
     bound lie within GAP_TOLERANCE of the medial axis: the MedialAxisError
     check asserts this on the midpoints solved.
 
-    Chord certificate: if sqrt(2) |A_i - A_j|_F < g_i + g_j, the edge flips
-    iff c = u_i . u_j < 0, with no midpoint solve.  Let E = sym(A_j - A_i)
-    and s = lambda_max(E) - lambda_min(E); then s <= sqrt(2) |E|_F <=
-    sqrt(2) |A_i - A_j|_F < g_i + g_j.  On the segment M = A_i + t E, Weyl
-    gives g_M >= g_i - t s and g_M >= g_j - (1 - t) s, so g_M > 0 and the
-    top line stays simple.  A top eigenvector w of M orthogonal to u_i
-    would have w'A_i w <= lambda_1(A_i) - g_i and u_i'M u_i <= lambda_1(M)
-    - g_M (Courant-Fischer at A_i and at M), so t (w'Ew - u_i'Eu_i) >=
-    g_i + g_M >= g_i + g_j - (1 - t) s, hence s >= g_i + g_j.  So the line
-    never turns orthogonal to u_i and arrives as sign(c) u_j.  Rounding:
-    A_i - A_j is formed entrywise to eps relative, so |A_i - A_j|_F, a
-    hypot of its entries, is off by about (m^2 + 2) eps relative, and the
-    eigensolve's gaps by about m eps |A|; the relative margin CHORD_MARGIN
-    covers both while g_i + g_j exceeds about 4 m eps |A| / CHORD_MARGIN,
-    near GAP_TOLERANCE at |A| ~ 1.
-    In exact arithmetic the test also bounds c: compressed to span(u_i,
-    u_j), sym(A_i) and sym(A_j) keep their top lines u_i and u_j with gaps
-    h_i >= g_i and h_j >= g_j, and the 2 x 2 case gives 2 |A_i - A_j|_F^2
-    >= (h_i + h_j)^2 - 4 h_i h_j c^2 >= (h_i + h_j)^2 (1 - c^2), so c^2 >
-    CHORD_MARGIN / (1 + CHORD_MARGIN).  Past the scale the margin covers,
-    that bound is lost: c is a dot product of eigenvectors each off by
-    about eps |A| / g, and points of gap 1e-8 at eigenvalue 500 pass the
-    chord test with |c| at that rounding.  So the test also asks c^2 >
-    GAP_TOLERANCE (|c| > 3.2e-5), and such an edge goes to the midpoint.
+    Chord lemma: if sqrt(2) |A_i - A_j|_F < g_i + g_j, the edge flips iff
+    c = u_i . u_j < 0, with no midpoint solve.  Let E = sym(A_j - A_i) and
+    s = lambda_max(E) - lambda_min(E); then s <= sqrt(2) |E|_F <= sqrt(2)
+    |A_i - A_j|_F < g_i + g_j.  On the segment M = A_i + t E, Weyl gives
+    g_M >= g_i - t s and g_M >= g_j - (1 - t) s, so g_M > 0 and the top
+    line stays simple.  A top eigenvector w of M orthogonal to u_i would
+    have w'A_i w <= lambda_1(A_i) - g_i and u_i'M u_i <= lambda_1(M) - g_M
+    (Courant-Fischer at A_i and at M), so t (w'Ew - u_i'Eu_i) >= g_i + g_M
+    >= g_i + g_j - (1 - t) s, hence s >= g_i + g_j.  So the line never
+    turns orthogonal to u_i and arrives as sign(c) u_j.  In exact
+    arithmetic the hypothesis also bounds c: compressed to span(u_i, u_j),
+    sym(A_i) and sym(A_j) keep their top lines u_i and u_j with gaps h_i >=
+    g_i and h_j >= g_j, and the 2 x 2 case gives 2 |A_i - A_j|_F^2 >= (h_i
+    + h_j)^2 - 4 h_i h_j c^2 >= (h_i + h_j)^2 (1 - c^2), so with a relative
+    margin M on the hypothesis c^2 > M / (1 + M).  Past the scale the margin
+    covers, that bound is lost: c is a dot product of eigenvectors each off
+    by about eps |A| / g, and points of gap 1e-8 at eigenvalue 500 meet the
+    hypothesis with |c| at that rounding.
 
     Value certificate: the edge's value v = |e_i - e_j| / 2, which the
     listing already holds, bounds gamma |A_i - A_j|_F <= 2 v, so 2 sqrt(2)
-    sqrt(1 + 2 CHORD_MARGIN) v / gamma < g_i + g_j, with c^2 >
-    GAP_TOLERANCE, implies the chord test with no m x m matrix gathered.
-    Rounding: v is the root of a sum of k squares, one per embedding
-    coordinate, off by about (k + 2) eps relative, which the doubled margin
-    (about 5e-7 more on the norm) covers; where gamma |A| is small enough
-    for the squares to underflow, an absolute 1e-150 covers the terms lost.  Below the bound
-    v < gamma g / sqrt(2) for the smallest gap g, so the value test refuses
-    only the edges within about 1e-6 relative of the bound and those with
-    |c| at most 3.2e-5.  Only those go to the chord test, and only the edges
-    both refuse (the long edges: a sliver within about 5e-7 relative of the
-    bound, or |c| at most 3.2e-5) have their midpoints solved and checked.
-    On projector payloads (gaps 1, |P_i - P_j|_F^2 = 2 (1 - c^2)) the chord
-    test reads c^2 > CHORD_MARGIN / (1 + CHORD_MARGIN): every edge with |c|
-    above 1e-3 is certified.
+    sqrt(1 + 2 CHORD_MARGIN) v / gamma < g_i + g_j gives the chord lemma's
+    hypothesis with no m x m matrix gathered, and the certificate also asks
+    c^2 > GAP_TOLERANCE (|c| > 3.2e-5) against c's rounding.  Rounding: the
+    eigensolve's gaps are off by about m eps |A|, and v, the root of a sum
+    of k squares, one per embedding coordinate, by about (k + 2) eps
+    relative; the relative margin covers both while g_i + g_j exceeds about
+    4 m eps |A| / CHORD_MARGIN, near GAP_TOLERANCE at |A| ~ 1.  Where gamma
+    |A| is small enough for the squares to underflow, an absolute 1e-150
+    covers the terms lost.  Below the bound v < gamma g / sqrt(2) for the
+    smallest gap g, so the value test refuses only the long edges: those
+    within about 1e-6 relative of the bound and those with |c| at most
+    3.2e-5.  Only their midpoints are solved and checked.  On projector
+    payloads (gaps 1, |P_i - P_j|_F^2 = 2 (1 - c^2)) two points at one base
+    point pass the value test iff c^2 > 2 CHORD_MARGIN / (1 + 2
+    CHORD_MARGIN): such twins with |c| up to about 1.4e-3 go to the midpoint.
 
     The sweep takes _flag_graph's edges unordered and signs them block by
     block, only as far as it reads: the first block has the _first_block(n)

@@ -1,8 +1,8 @@
 """Command line front end: generate clouds, compute barcodes, compute lifebars.
 
 Exit codes: 0 on success, 2 on bad input or when memory runs out.
-Verbosity comes from the SWBUNDLE_LOG environment variable (debug / info /
-warning).
+Verbosity comes from the SWBUNDLE_LOG environment variable, a logging level
+name (debug / info / warning); any other value reads as warning.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def _cmd_lifebar(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SWBUNDLE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
+    level = logging.getLevelName(os.environ.get("SWBUNDLE_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else "WARNING", format="%(message)s")
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class GeneratorSpec:
 
     kind: str
     count: int
-    count2: Optional[int] = None
+    count2: int | None = None
     noise: float = 0.0
     seed: int = 0
     gamma: float = 1.0
@@ -41,10 +40,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {_KINDS}")
-        for k in (self.count,) if self.count2 is None else (self.count, self.count2):
-            if not isinstance(k, (int, np.integer)) or k < 3:
-                raise ValueError("counts must be at least 3" if k < 3
-                                 else f"count {k!r} is not an integer")
+        _check_counts("count", self.count, *(() if self.count2 is None else (self.count2,)))
         if self.count2 is not None and self.kind.startswith("circle"):
             raise ValueError(f"{self.kind} takes one count; a second count (grid columns) "
                              "is for the torus and Klein surfaces")
@@ -52,10 +48,19 @@ class GeneratorSpec:
         if points > MAX_POINTS:
             raise ValueError(f"{points} points requested, more than the cap of {MAX_POINTS} "
                              "(2**20): lifebar and barcode screen all N (N - 1) / 2 pairs")
-        if not 0.0 <= self.noise < np.inf:
-            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise}")
-        if self.seed < 0:  # numpy's own refusal does not name the seed
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not (isinstance(self.noise, (int, float, np.number)) and 0.0 <= self.noise < np.inf):
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:  # numpy's names no seed
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _check_counts(noun: str, *counts) -> None:
+    """ValueError unless every count is an integer of at least 3; the message calls it noun."""
+    for k in counts:  # the type first: "5" < 3 raises TypeError
+        if not isinstance(k, (int, np.integer)) or k < 3:
+            low = isinstance(k, (int, float, np.number)) and k < 3
+            raise ValueError(f"{noun}s must be at least 3" if low
+                             else f"{noun} {k!r} is not an integer")
 
 
 def generate(spec: GeneratorSpec) -> LiftedCloud:
@@ -74,9 +79,7 @@ def generate(spec: GeneratorSpec) -> LiftedCloud:
 
 
 def _circle(k: int, gamma: float, half_speed: bool) -> LiftedCloud:
-    if not isinstance(k, (int, np.integer)) or k < 3:
-        raise ValueError("need at least 3 points on the circle" if k < 3
-                         else f"circle count {k!r} is not an integer")
+    _check_counts("circle count", k)
     theta = 2.0 * np.pi * np.arange(k) / k
     xs = np.column_stack([np.cos(theta), np.sin(theta)])
     ang = theta / 2.0 if half_speed else theta
@@ -100,10 +103,7 @@ def circle_tautological(k: int, gamma: float = 1.0) -> LiftedCloud:
 
 def _grid(k_u: int, k_v: int) -> tuple:
     """Parameters (u, v) of a k_u x k_v grid on the square [0, 2 pi)^2, v fastest."""
-    for k in (k_u, k_v):
-        if not isinstance(k, (int, np.integer)) or k < 3:  # steps of 2 pi / 4.5 do not close
-            raise ValueError("grid counts must be at least 3" if k < 3
-                             else f"grid count {k!r} is not an integer")
+    _check_counts("grid count", k_u, k_v)  # steps of 2 pi / 4.5 do not close a grid
     u, v = np.meshgrid(2.0 * np.pi * np.arange(k_u) / k_u, 2.0 * np.pi * np.arange(k_v) / k_v,
                        indexing="ij")
     return u.ravel(), v.ravel()

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from swbundle.bundle import (
+    CHORD_MARGIN,
     LiftedCloud,
-    _chord_certified,
     _edge_flips,
     _point_lines,
+    _value_certified,
     checked_index_bound,
     hausdorff_distance,
     lifebar,
@@ -22,7 +23,7 @@ from swbundle.datasets import (
     klein_normal,
     torus_normal,
 )
-from swbundle.grassmann import MedialAxisError, eigh_descending, line_projectors
+from swbundle.grassmann import GAP_TOLERANCE, MedialAxisError, eigh_descending, line_projectors
 from swbundle.projective import (
     MatrixPoint,
     SubdivisionLimitError,
@@ -454,13 +455,13 @@ class TestLifebar:
         """The values of the edges below the bound, the ends of the blocks
         lifebar signs (the first _first_block(N) edges, then doubling, each
         block extended over the values tied with its last) and the number of
-        edges the chord certificate refuses in each block."""
+        edges the value certificate refuses in each block."""
         import swbundle.bundle as bundle
 
         u, gaps, bound = _point_lines(cloud)
         _, iu, ju, values = _flag_edges(cloud.distance_matrix(), math.nextafter(SQRT2 * bound, 0.0))
         c = np.einsum("ij,ij->i", u[iu], u[ju])
-        refused = ~_chord_certified(cloud.mats, gaps, c, iu, ju)
+        refused = ~_value_certified(cloud.gamma, gaps, c, iu, ju, values)
         size, ends = bundle._first_block(len(cloud)), [0]
         while ends[-1] < len(values):
             end = min(ends[-1] + size, len(values))
@@ -617,12 +618,26 @@ def _twinned(cloud, every, c=1e-4):
     """A cloud in R^n x G_1(R^2) plus a twin at every every-th point: the same
     base point, with the projector onto the line that meets the point's at
     u . u_twin = c.  |P - P_twin|_F^2 = 2 (1 - c^2), so each pair is an edge
-    just below the bound that the chord certificate refuses."""
+    just below the bound that the value certificate refuses while |c| is
+    below about 1.4e-3, and the chord certificate too while it is below
+    1e-3."""
     u, _, _ = _point_lines(cloud)
     u = u[::every]
     w = c * u + math.sqrt(1.0 - c * c) * np.stack([-u[:, 1], u[:, 0]], axis=1)
     return LiftedCloud(np.concatenate([cloud.xs, cloud.xs[::every]]),
                        np.concatenate([cloud.mats, w[:, :, None] * w[:, None, :]]), cloud.gamma)
+
+
+def _chord_certified(mats, gaps, c, i, j):
+    """The chord certificate, the oracle the value certificate is checked
+    against: the edges ij with sqrt(2) |A_i - A_j|_F < g_i + g_j, with a
+    relative margin, whose c = u_i . u_j has c^2 > GAP_TOLERANCE; their
+    flip is c < 0 (the chord lemma in bundle.lifebar).  The norm is a hypot
+    of the entries, so nothing is squared: a square of a gap or an entry
+    overflows past 1.3e154."""
+    chord = np.hypot.reduce(mats[i] - mats[j], axis=(1, 2))
+    short = SQRT2 * math.sqrt(1.0 + CHORD_MARGIN) * chord < gaps[i] + gaps[j]
+    return short & (c * c > GAP_TOLERANCE)
 
 
 CROSS_CHECK_CLOUDS = {

@@ -251,6 +251,24 @@ class TestBarcodeCommand:
                    "--output", str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize("level, logged", [
+    ("info", True), ("DEBUG", True), ("warning", False),
+    # logging.BASIC_FORMAT is a format string, not a level; nor is a number or junk
+    ("basic_format", False), ("10", False), ("nonsense", False),
+])
+def test_log_setting_takes_level_names_only(tmp_path, level, logged):
+    # in a fresh process, where logging is not yet configured
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SWBUNDLE_LOG=level, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    cloud = tmp_path / "c.json"
+    proc = subprocess.run([sys.executable, "-m", "swbundle.cli", "generate", "--dataset",
+                           "mobius", "--count", "8", "--output", str(cloud)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and cloud.exists()
+    assert proc.stderr == (f"wrote 8 points to {cloud}\n" if logged else "")
+
+
 class TestLifebarCommand:
     def test_mobius_solid_bar(self, tmp_path):
         cloud = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,27 @@ class TestGenerateDispatch:
     def test_counts_must_be_integers_of_at_least_3(self, kind, count, count2, message):
         with pytest.raises(ValueError, match=message):
             GeneratorSpec(kind, count, count2=count2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GeneratorSpec("circle_normal", "5"), "count '5' is not an integer"),
+        (lambda: GeneratorSpec("torus_normal", 4, count2="4"),
+         "count '4' is not an integer"),
+        (lambda: circle_normal("5"), "circle count '5' is not an integer"),
+        (lambda: torus_normal(None, 4), "grid count None is not an integer"),
+        (lambda: klein_normal(4, "5"), "grid count '5' is not an integer"),
+        (lambda: GeneratorSpec("circle_normal", 10, seed="1"),
+         "seed must be a non-negative integer, got '1'"),
+        (lambda: GeneratorSpec("circle_normal", 10, seed=None),
+         "seed must be a non-negative integer, got None"),
+        (lambda: GeneratorSpec("circle_normal", 10, noise="0.1"),
+         "noise level must be finite and nonnegative, got '0.1'"),
+        (lambda: GeneratorSpec("circle_normal", 10, noise=None),
+         "noise level must be finite and nonnegative, got None"),
+    ])
+    def test_non_numeric_values_raise_value_error(self, make, message):
+        # the type is tested before any comparison: "5" < 3 would raise TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
     def test_numpy_integer_counts_accepted(self):
         assert len(generate(GeneratorSpec("circle_normal", np.int64(10)))) == 10

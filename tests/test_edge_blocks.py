@@ -9,8 +9,10 @@ _odd_cycle_sweep hands its sign must hold the flag filtration's edges:
 until the forest spans, exactly as _flag_edges(cloud.distance_matrix(), v)
 lists them, the same pairs in the same (value, i, j) order; in all, the
 same edges, in blocks that double in size and never split a tie.  The
-chord certificate must cover every edge below the bound of the test clouds
-and give the flip the midpoint rule gives.
+value certificate must pass only edges the chord certificate (kept here as
+its oracle) passes, the two must cover every edge below the bound of the
+test clouds but the sliver next to it, and the flips must be those the
+midpoint rule gives.
 """
 
 import math
@@ -25,7 +27,6 @@ from swbundle.bundle import (
     CHORD_MARGIN,
     SQRT2,
     LiftedCloud,
-    _chord_certified,
     _edge_flips,
     _flag_graph,
     _odd_cycle_sweep,
@@ -44,6 +45,7 @@ from test_bundle import (
     CROSS_CHECK_CLOUDS,
     SHIFT_ONE_CLOUDS,
     STRONG_NON_PROJECTOR_CLOUDS,
+    _chord_certified,
     _non_projector,
     _twinned,
 )
@@ -239,7 +241,7 @@ def _chord_then_midpoint_flips(cloud, u, gaps, i, j):
     """The flips by the rule that signed every edge before the value
     certificate: the chord test in squares, 2 (1 + CHORD_MARGIN) |A_i -
     A_j|_F^2 < (g_i + g_j)^2 with c^2 > GAP_TOLERANCE, and the midpoint
-    rule on every edge it refuses; and how many edges it refused."""
+    rule on every edge it refuses."""
     c = np.einsum("ij,ij->i", u[i], u[j])
     dA = cloud.mats[i] - cloud.mats[j]
     chord2 = np.einsum("kab,kab->k", dA, dA)
@@ -248,26 +250,11 @@ def _chord_then_midpoint_flips(cloud, u, gaps, i, j):
     flips = c < 0.0
     if long.any():
         flips[long] = _midpoint_flips(cloud, u, i[long], j[long])
-    return flips, int(long.sum())
+    return flips
 
 
-# twins 1e-4 from orthogonal: edges in the sliver both certificates refuse
-FLIP_CLOUDS = {
-    **EDGE_CLOUDS,
-    "mobius-20-twinned": lambda: _twinned(circle_tautological(20, 1.0), 3),
-    "circle-normal-30-gamma-0.5-twinned": lambda: _twinned(circle_normal(30, 0.5), 7),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FLIP_CLOUDS))
-def test_edge_flips_equal_the_chord_then_midpoint_rule(name):
-    # the value certificate changes which test signs an edge, never a flip:
-    # on the lifebar's own listing, edge for edge, and the midpoints solved
-    # are the same edges
-    cloud = FLIP_CLOUDS[name]()
-    u, gaps, _ = _point_lines(cloud)
-    i, j, values = _flag_graph(cloud, _max_value(cloud))
-    want, refused = _chord_then_midpoint_flips(cloud, u, gaps, i, j)
+def _flips_and_solves(cloud, u, gaps, i, j, values):
+    """_edge_flips on the edges, and how many midpoints it solved."""
     solved = []
     solve = bundle.eigh_descending
 
@@ -278,9 +265,66 @@ def test_edge_flips_equal_the_chord_then_midpoint_rule(name):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "eigh_descending", counted)
         flips = _edge_flips(cloud.mats, u, gaps, cloud.gamma, i, j, values)
-    assert np.array_equal(flips, want)
-    assert sum(solved) == refused
-    assert refused == 0 or name.endswith("twinned")
+    return flips, sum(solved)
+
+
+# twins at c = 1.2e-3, the band the value test refuses and the chord test
+# signs: the cloud, its twins and the t_dagger the chord test gave (None
+# for an empty lifebar)
+BAND_CLOUDS = {
+    "mobius-20-twinned-1.2e-3": (
+        lambda: _twinned(circle_tautological(20, 1.0), 3, c=1.2e-3), 7, "0x1.15748e8c22244p-3"),
+    "circle-normal-30-gamma-0.5-twinned-1.2e-3": (
+        lambda: _twinned(circle_normal(30, 0.5), 7, c=1.2e-3), 5, None),
+}
+
+# twins 1e-4 from orthogonal: edges in the sliver both certificates refuse
+FLIP_CLOUDS = {
+    **EDGE_CLOUDS,
+    "mobius-20-twinned": lambda: _twinned(circle_tautological(20, 1.0), 3),
+    "circle-normal-30-gamma-0.5-twinned": lambda: _twinned(circle_normal(30, 0.5), 7),
+    **{name: make for name, (make, _, _) in BAND_CLOUDS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_CLOUDS))
+def test_edge_flips_equal_the_chord_then_midpoint_rule(name):
+    # the value certificate changes which test signs an edge, never a flip:
+    # on the lifebar's own listing, edge for edge, the flips are those of
+    # the chord-then-midpoint rule, and the midpoints solved are the edges
+    # the value certificate refuses
+    cloud = FLIP_CLOUDS[name]()
+    u, gaps, _ = _point_lines(cloud)
+    i, j, values = _flag_graph(cloud, _max_value(cloud))
+    c = np.einsum("ij,ij->i", u[i], u[j])
+    refused = np.count_nonzero(~_value_certified(cloud.gamma, gaps, c, i, j, values))
+    flips, solved = _flips_and_solves(cloud, u, gaps, i, j, values)
+    assert np.array_equal(flips, _chord_then_midpoint_flips(cloud, u, gaps, i, j))
+    assert solved == refused
+    assert refused == 0 or "twinned" in name
+
+
+@pytest.mark.parametrize("name", sorted(BAND_CLOUDS))
+def test_midpoint_rule_signs_the_band_the_value_test_refuses(name):
+    # each twin's edge fails the value test and passes the chord test, and
+    # no other edge fails the value test: the midpoint rule signs exactly
+    # the twins' edges, with the flip c < 0 gives, and t_dagger stays what
+    # it was when the chord test signed them
+    make, twins, t_dagger = BAND_CLOUDS[name]
+    cloud = make()
+    u, gaps, _ = _point_lines(cloud)
+    i, j, values = _flag_graph(cloud, _max_value(cloud))
+    c = np.einsum("ij,ij->i", u[i], u[j])
+    refused = ~_value_certified(cloud.gamma, gaps, c, i, j, values)
+    assert refused.sum() == twins and _chord_certified(cloud.mats, gaps, c, i, j).all()
+    # the twins are the last points, each refused edge one twin's own
+    assert np.array_equal(np.sort(j[refused]), np.arange(len(cloud) - twins, len(cloud)))
+    flips, solved = _flips_and_solves(cloud, u, gaps, i, j, values)
+    assert solved == twins
+    assert np.array_equal(flips, _midpoint_flips(cloud, u, i, j))
+    assert np.array_equal(flips, c < 0.0)
+    lb = lifebar(cloud)
+    assert (None if lb.empty else lb.t_dagger.hex()) == t_dagger
 
 
 def test_property_value_certificate_implies_chord_certificate():
